@@ -40,6 +40,7 @@ from .ingestion import (
 from .model import (
     BilateralFlow,
     CountryRecord,
+    FlowTable,
     InfluenceMatrix,
     MatrixKind,
     TradeNetwork,
@@ -55,6 +56,7 @@ __all__ = [
     "CountryRecord",
     "DatasetManifest",
     "ExpOptions",
+    "FlowTable",
     "InfluenceMatrix",
     "MatrixKind",
     "MethodSpec",

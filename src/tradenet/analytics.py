@@ -229,11 +229,11 @@ def degree_stats(network: TradeNetwork) -> tuple[float, dict[str, int]]:
     A partner of ``A`` is any distinct country appearing with ``A`` on a
     positive-total flow record, in either role.
     """
-    partners: dict[str, set[str]] = {code: set() for code in network.codes}
-    for flow in network.flows:
-        if flow.total > 0:
-            partners[flow.reporter].add(flow.partner)
-            partners[flow.partner].add(flow.reporter)
-    counts = {code: len(partners[code]) for code in network.codes}
+    flows = network.flows
+    positive = flows.totals > 0
+    linked = np.zeros((network.n, network.n), dtype=bool)
+    linked[flows.reporter[positive], flows.partner[positive]] = True
+    linked |= linked.T
+    counts = dict(zip(network.codes, linked.sum(axis=1).tolist()))
     average = sum(counts.values()) / len(counts) if counts else 0.0
     return average, counts

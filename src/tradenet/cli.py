@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 METHOD_CHOICES = ("pwp", "micmac", "pagerank", "heatkernel")
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ def _indirect_matrix(config: RunConfig, direct: InfluenceMatrix) -> InfluenceMat
     def compute():
         if config.method.method == "pagerank":
             # raw weight matrices are not column-stochastic
-            print("engine: column-normalizing direct matrix for pagerank")
+            logger.info("column-normalizing direct matrix for pagerank")
             return pagerank_limit(column_normalize(direct), config.method.p)
         return config.method.apply(direct)
 

@@ -92,6 +92,8 @@ def matrix_exponential(m, options: ExpOptions | None = None) -> np.ndarray:
     ------
     DimensionMismatchError
         If ``m`` is not square.
+    ConvergenceError
+        If the series has not converged after ``_TAYLOR_TERM_CAP`` terms.
     OverflowError
         If the required scaling exceeds ``max_scaling_squarings`` or the
         result leaves the representable range.
@@ -119,8 +121,14 @@ def matrix_exponential(m, options: ExpOptions | None = None) -> np.ndarray:
         for k in range(1, _TAYLOR_TERM_CAP + 1):
             term = term @ scaled / k
             result = result + term
-            if np.abs(term).max() <= opts.taylor_tolerance * max(1.0, np.abs(result).max()):
+            term_norm = np.abs(term).max()
+            if term_norm <= opts.taylor_tolerance * max(1.0, np.abs(result).max()):
                 break
+        else:
+            raise ConvergenceError(
+                f"Taylor series not converged after {_TAYLOR_TERM_CAP} terms "
+                f"(last term norm {term_norm:.3g})"
+            )
         for _ in range(squarings):
             result = result @ result
 

@@ -12,7 +12,7 @@ class TradeNetError(Exception):
 # --- network construction -------------------------------------------------
 
 class DuplicateCountryError(TradeNetError):
-    """Two country records share the same code."""
+    """Two country records share the same code or the same display name."""
 
 
 class UnknownCountryError(TradeNetError):
@@ -95,9 +95,6 @@ class MalformedRowError(TradeNetError):
     """A CSV data row cannot be parsed; message carries the 1-based line number."""
 
 
-class DuplicateCodeError(TradeNetError):
-    """The same country code appears on two CSV rows."""
-
-
-class DuplicatePairError(TradeNetError):
-    """The same (reporter, partner) pair appears on two CSV rows."""
+# former ingestion-only names of the two duplicate errors
+DuplicateCodeError = DuplicateCountryError
+DuplicatePairError = DuplicateFlowError

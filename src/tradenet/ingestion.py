@@ -5,27 +5,42 @@ Two comma-separated UTF-8 files with mandatory headers describe a dataset:
 * countries: ``code,name,gdp,total_exports,total_imports``
 * flows:     ``reporter,partner,exports,imports``
 
-Amounts are plain decimals in thousands of US dollars (decimal point, no
-thousands separators).  Every parse error carries the 1-based line number
-of the offending row.
+Either file may start with a UTF-8 byte order mark.  Amounts are plain
+decimals in thousands of US dollars (decimal point, no thousands
+separators).  Every parse error carries the 1-based line number of the
+offending row; when a file has several faults, the first line wins.
+
+Flows are read in blocks of rows straight into the columns of a
+:class:`~tradenet.model.FlowTable` and checked once, as whole columns.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import (
-    DuplicateCodeError,
-    DuplicatePairError,
+    DuplicateCountryError,
+    DuplicateFlowError,
     MalformedRowError,
     MissingColumnError,
-    NegativeAmountError,
     SelfFlowError,
 )
-from .model import BilateralFlow, CountryRecord, TradeNetwork, build_network
+from .model import (
+    CountryRecord,
+    FlowTable,
+    TradeNetwork,
+    build_network,
+    checked_amount,
+    first_fault,
+    invalid_amounts,
+    repeated,
+)
 
 __all__ = [
     "COUNTRY_COLUMNS",
@@ -44,10 +59,20 @@ logger = logging.getLogger(__name__)
 COUNTRY_COLUMNS = ("code", "name", "gdp", "total_exports", "total_imports")
 FLOW_COLUMNS = ("reporter", "partner", "exports", "imports")
 
+# rows held as Python lists at once; bounds the parser's memory on large files
+_BLOCK_ROWS = 32_768
 
-def _open_rows(path: str | Path, columns: tuple[str, ...]):
-    """Yield (line_number, field dict) per data row after header validation."""
-    with open(path, newline="", encoding="utf-8") as handle:
+
+def _blocks(path: str | Path, columns: tuple[str, ...]):
+    """Yield ``(lines, cells)`` per block of data rows, after header validation.
+
+    ``lines`` are the rows' 1-based line numbers and ``cells`` one list of
+    raw (unstripped) cells per requested column.  Blank rows and rows of
+    empty cells are skipped.  A row with the wrong field count ends the
+    file: its :class:`MalformedRowError` is raised after the rows before it
+    have been yielded, since those may hold an earlier fault.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -57,79 +82,133 @@ def _open_rows(path: str | Path, columns: tuple[str, ...]):
         missing = [c for c in columns if c not in header]
         if missing:
             raise MissingColumnError(f"{path}: missing column(s) {', '.join(missing)}")
-        positions = {c: header.index(c) for c in columns}
+        width = len(header)
+        positions = [header.index(c) for c in columns]
+        cells: list[str] = []  # the block's rows, concatenated
+        lines: list[int] = []
         for row in reader:
-            line = reader.line_num
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise MalformedRowError(
-                    f"{path}:{line}: expected {len(header)} fields, got {len(row)}"
-                )
-            yield line, {c: row[positions[c]].strip() for c in columns}
+            if len(row) != width or not row[0].strip():
+                if not any(cell.strip() for cell in row):
+                    continue
+                if len(row) != width:
+                    if lines:
+                        yield lines, [cells[p::width] for p in positions]
+                    raise MalformedRowError(
+                        f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
+                    )
+            cells += row
+            lines.append(reader.line_num)
+            if len(lines) == _BLOCK_ROWS:
+                yield lines, [cells[p::width] for p in positions]
+                cells, lines = [], []
+        if lines:
+            yield lines, [cells[p::width] for p in positions]
 
 
-def _amount(text: str, column: str, path, line: int) -> float:
+def _floats(cells) -> np.ndarray:
+    """Cells as floats; a cell that does not parse becomes NaN."""
     try:
-        value = float(text)
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells))
     except ValueError:
-        raise MalformedRowError(f"{path}:{line}: {column} is not a number: {text!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
-        raise MalformedRowError(f"{path}:{line}: {column} is not finite: {text!r}")
-    if value < 0:
-        raise NegativeAmountError(f"{path}:{line}: {column} is negative: {text}")
-    return value
+        def parse(cell):
+            try:
+                return float(cell)
+            except ValueError:
+                return math.nan
+        return np.array([parse(cell) for cell in cells], dtype=float)
 
 
 def load_countries(path: str | Path) -> list[CountryRecord]:
     """Parse a countries CSV into records, preserving file order."""
+    lines: list[int] = []
+    fields: list[list[str]] = []
+    pending = None
+    try:
+        for block_lines, cells in _blocks(path, COUNTRY_COLUMNS):
+            lines += block_lines
+            fields += [[cell.strip() for cell in row] for row in zip(*cells)]
+    except MalformedRowError as exc:
+        pending = exc
+    codes = np.array([row[0] for row in fields], dtype=object)
+    duplicate = repeated(codes)
     records: list[CountryRecord] = []
-    first_line: dict[str, int] = {}
-    for line, fields in _open_rows(path, COUNTRY_COLUMNS):
-        code = fields["code"]
-        if code in first_line:
-            raise DuplicateCodeError(
-                f"{path}:{line}: code {code} already defined on line {first_line[code]}"
-            )
-        amounts = {c: _amount(fields[c], c, path, line) for c in COUNTRY_COLUMNS[2:]}
+    for i, row in enumerate(fields):
+        where = f"{path}:{lines[i]}"
+        if duplicate[i]:
+            first = lines[int(np.flatnonzero(codes == codes[i])[0])]
+            raise DuplicateCountryError(f"{where}: code {row[0]} already defined on line {first}")
+        for column, text in zip(COUNTRY_COLUMNS[2:], row[2:]):
+            checked_amount(text, f"{where}: {column}", MalformedRowError)
         try:
-            record = CountryRecord(code=code, name=fields["name"], **amounts)
+            records.append(CountryRecord(*row))
         except ValueError as exc:
-            raise MalformedRowError(f"{path}:{line}: {exc}") from None
-        first_line[code] = line
-        records.append(record)
+            raise MalformedRowError(f"{where}: {exc}") from None
+    if pending is not None:
+        raise pending
     return records
 
 
-def load_flows(path: str | Path) -> list[BilateralFlow]:
-    """Parse a flows CSV; rows recording zero trade both ways are dropped."""
-    flows: list[BilateralFlow] = []
-    first_line: dict[tuple[str, str], int] = {}
-    dropped = 0
-    for line, fields in _open_rows(path, FLOW_COLUMNS):
-        reporter, partner = fields["reporter"], fields["partner"]
-        if reporter == partner:
-            raise SelfFlowError(f"{path}:{line}: self-flow for {reporter}")
-        pair = (reporter, partner)
-        if pair in first_line:
-            raise DuplicatePairError(
-                f"{path}:{line}: pair {pair} already defined on line {first_line[pair]}"
-            )
-        first_line[pair] = line
-        exports = _amount(fields["exports"], "exports", path, line)
-        imports = _amount(fields["imports"], "imports", path, line)
-        if exports == 0 and imports == 0:
-            dropped += 1
-            continue
-        try:
-            flows.append(
-                BilateralFlow(reporter=reporter, partner=partner, exports=exports, imports=imports)
-            )
-        except ValueError as exc:
-            raise MalformedRowError(f"{path}:{line}: {exc}") from None
+def load_flows(path: str | Path) -> FlowTable:
+    """Parse a flows CSV into a table; rows recording zero trade both ways are dropped.
+
+    Raises the error of the first faulty line.  Within a line the checks
+    run in this order: field count, self-flow, pair already seen on an
+    earlier line, exports, imports.
+    """
+    index: dict[str, int] = {}  # code -> position in the table's codes
+    raw: dict[str, int] = {}  # cell as written -> index of its stripped code
+    parts = {
+        name: [np.zeros(0, dtype)]
+        for name, dtype in zip((*FLOW_COLUMNS, "lines"), (np.intp, np.intp, float, float, np.int64))
+    }
+    texts: dict[tuple[int, str], str] = {}  # cells failing the amount check, by (row, column)
+    rows = 0
+    pending = None
+    try:
+        for lines, cells in _blocks(path, FLOW_COLUMNS):
+            for name, column in zip(FLOW_COLUMNS[:2], cells[:2]):
+                for cell in dict.fromkeys(column):
+                    if cell not in raw:
+                        raw[cell] = index.setdefault(cell.strip(), len(index))
+                parts[name].append(np.fromiter(map(raw.__getitem__, column), np.intp, len(column)))
+            for name, column in zip(FLOW_COLUMNS[2:], cells[2:]):
+                values = _floats(column)
+                for i in np.flatnonzero(invalid_amounts(values)).tolist():
+                    texts[rows + i, name] = column[i].strip()
+                parts[name].append(values)
+            parts["lines"].append(np.array(lines, dtype=np.int64))
+            rows += len(lines)
+    except MalformedRowError as exc:
+        pending = exc
+
+    codes = tuple(index)
+    reporter, partner, exports, imports, lines = (
+        np.concatenate(parts[name]) for name in (*FLOW_COLUMNS, "lines")
+    )
+
+    pairs = reporter * len(codes) + partner
+    fault = first_fault(
+        reporter == partner, repeated(pairs), invalid_amounts(exports), invalid_amounts(imports)
+    )
+    if fault is not None:
+        row, check = fault
+        where = f"{path}:{int(lines[row])}"
+        pair = (codes[reporter[row]], codes[partner[row]])
+        if check == 0:
+            raise SelfFlowError(f"{where}: self-flow for {pair[0]}")
+        if check == 1:
+            first = int(lines[np.flatnonzero(pairs == pairs[row])[0]])
+            raise DuplicateFlowError(f"{where}: pair {pair} already defined on line {first}")
+        column = FLOW_COLUMNS[check]
+        checked_amount(texts[row, column], f"{where}: {column}", MalformedRowError)
+    if pending is not None:
+        raise pending
+
+    trading = (exports != 0) | (imports != 0)
+    dropped = len(trading) - int(trading.sum())
     if dropped:
         logger.info("%s: dropped %d zero-trade row(s)", path, dropped)
-    return flows
+    return FlowTable(codes, reporter, partner, exports, imports).take(trading)
 
 
 def save_countries(records, path: str | Path) -> None:
@@ -161,8 +240,9 @@ def subset(network: TradeNetwork, codes) -> TradeNetwork:
     for code in sorted(keep):
         network.country(code)
     countries = [c for c in network.countries if c.code in keep]
-    flows = [f for f in network.flows if f.reporter in keep and f.partner in keep]
-    return build_network(countries, flows)
+    flows = network.flows
+    kept = np.array([code in keep for code in flows.codes], dtype=bool)
+    return build_network(countries, flows.take(kept[flows.reporter] & kept[flows.partner]))
 
 
 @dataclass(frozen=True)

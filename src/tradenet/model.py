@@ -3,14 +3,25 @@
 A trade network is a directed graph whose vertices are countries and whose
 edges carry trade between them.  Countries are kept in alphabetical order by
 display name, which fixes the index map used by every matrix in the package.
+Flows are held as columns in a :class:`FlowTable`; a :class:`BilateralFlow`
+is one row of it as a record.
+
+Every record check is written once here, over arrays of rows:
+:func:`repeated` finds duplicate keys, :func:`invalid_amounts` amounts that
+are not finite and non-negative, and :func:`first_fault` picks the first
+failing row, then the first failing check within it.  Ingestion runs the
+same functions over whole CSV columns.
 
 All types are frozen after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +37,7 @@ from .errors import (
 __all__ = [
     "CountryRecord",
     "BilateralFlow",
+    "FlowTable",
     "TradeNetwork",
     "MatrixKind",
     "InfluenceMatrix",
@@ -37,13 +49,53 @@ __all__ = [
 _CODE_RE = re.compile(r"[A-Z0-9]{2,3}")
 
 
-def _check_amount(value: float, what: str, owner: str) -> float:
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError(f"{what} of {owner} is not finite: {value}")
-    if value < 0:
-        raise NegativeAmountError(f"{what} of {owner} is negative: {value}")
-    return value
+def first_fault(*masks: np.ndarray) -> tuple[int, int] | None:
+    """``(row, check)`` of the first True entry, or ``None`` if there is none.
+
+    Each mask flags the rows failing one check.  Rows are scanned in order
+    and, within a row, the masks in argument order.
+    """
+    if not len(masks[0]):
+        return None
+    flat = np.column_stack(masks).ravel()
+    first = int(flat.argmax())
+    return divmod(first, len(masks)) if flat[first] else None
+
+
+def repeated(keys: np.ndarray) -> np.ndarray:
+    """True for each row whose key already appeared on an earlier row.
+
+    Strings go in an ``object`` array, so they compare as Python strings.
+    """
+    mask = np.ones(len(keys), dtype=bool)
+    mask[np.unique(keys, return_index=True)[1]] = False
+    return mask
+
+
+def invalid_amounts(values: np.ndarray | np.float64):
+    """True where an amount is not a finite, non-negative number (NaN included).
+
+    Takes an array or a NumPy scalar, never a Python float: on the Python
+    ``bool`` its comparisons would give, ``~`` is integer negation.
+    """
+    return ~((values >= 0) & (values < np.inf))
+
+
+def checked_amount(value, subject: str, invalid: type[Exception] = ValueError) -> float:
+    """``value`` as a float, or the error naming ``subject`` and the value as given.
+
+    Negative amounts raise :class:`NegativeAmountError`; values that are not
+    numbers or not finite raise ``invalid``.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise invalid(f"{subject} is not a number: {value!r}") from None
+    if invalid_amounts(np.float64(number)):
+        if not math.isfinite(number):
+            raise invalid(f"{subject} is not finite: {value!r}")
+        raise NegativeAmountError(f"{subject} is negative: {value}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -67,7 +119,8 @@ class CountryRecord:
         if not self.name:
             raise ValueError(f"country {self.code} has an empty name")
         for attr in ("gdp", "total_exports", "total_imports"):
-            object.__setattr__(self, attr, _check_amount(getattr(self, attr), attr, self.code))
+            value = checked_amount(getattr(self, attr), f"{attr} of {self.code}")
+            object.__setattr__(self, attr, value)
 
     @property
     def total_trade(self) -> float:
@@ -99,7 +152,8 @@ class BilateralFlow:
             raise SelfFlowError(f"flow {self.reporter}->{self.partner} is a self-flow")
         owner = f"flow ({self.reporter}, {self.partner})"
         for attr in ("exports", "imports"):
-            object.__setattr__(self, attr, _check_amount(getattr(self, attr), attr, owner))
+            value = checked_amount(getattr(self, attr), f"{attr} of {owner}")
+            object.__setattr__(self, attr, value)
         if self.exports == 0 and self.imports == 0:
             raise ValueError(f"{owner} records no trade in either direction")
 
@@ -108,24 +162,88 @@ class BilateralFlow:
         return self.exports + self.imports
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class FlowTable:
+    """Bilateral flow records as read-only columns, one row per ordered pair.
+
+    ``reporter[i]`` and ``partner[i]`` index into ``codes``; ``exports[i]``
+    and ``imports[i]`` are the reporter's amounts.  Iterating yields each
+    row as a :class:`BilateralFlow`, built on demand.
+    """
+
+    codes: tuple[str, ...]
+    reporter: np.ndarray
+    partner: np.ndarray
+    exports: np.ndarray
+    imports: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "codes", tuple(self.codes))
+        dtypes = {"reporter": np.intp, "partner": np.intp, "exports": float, "imports": float}
+        for name, dtype in dtypes.items():
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_records(cls, flows: Iterable) -> FlowTable:
+        """Columns of records with ``reporter``, ``partner``, ``exports`` and ``imports``."""
+        flows = list(flows)
+        vocab: dict[str, int] = {}
+        reporter = [vocab.setdefault(f.reporter, len(vocab)) for f in flows]
+        partner = [vocab.setdefault(f.partner, len(vocab)) for f in flows]
+        exports = [f.exports for f in flows]
+        imports = [f.imports for f in flows]
+        return cls(tuple(vocab), reporter, partner, exports, imports)
+
+    def __len__(self) -> int:
+        return len(self.reporter)
+
+    def __iter__(self):
+        codes = self.codes
+        columns = (self.reporter, self.partner, self.exports, self.imports)
+        for r, p, e, i in zip(*(column.tolist() for column in columns)):
+            yield BilateralFlow(codes[r], codes[p], e, i)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FlowTable):
+            return NotImplemented
+        return self.codes == other.codes and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("reporter", "partner", "exports", "imports")
+        )
+
+    @property
+    def totals(self) -> np.ndarray:
+        """Exports plus imports, per row."""
+        return self.exports + self.imports
+
+    def take(self, rows) -> FlowTable:
+        """The rows picked by a boolean mask or an index array, in that order."""
+        columns = (self.reporter, self.partner, self.exports, self.imports)
+        return FlowTable(self.codes, *(column[rows] for column in columns))
+
+
+@dataclass(frozen=True, eq=False)
 class TradeNetwork:
     """A fixed set of countries plus their bilateral flow records.
 
     Build through :func:`build_network`, which validates and orders the
-    inputs; the constructor assumes countries are already sorted by name.
+    inputs; the constructor assumes countries are already sorted by name
+    and that ``flows.codes`` lists their codes in that order.
     """
 
     countries: tuple[CountryRecord, ...]
-    flows: tuple[BilateralFlow, ...]
-    _by_code: dict = field(init=False, repr=False, compare=False)
-    _flow_index: dict = field(init=False, repr=False, compare=False)
+    flows: FlowTable
+    _index: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_code", {c.code: c for c in self.countries})
-        object.__setattr__(
-            self, "_flow_index", {(f.reporter, f.partner): f for f in self.flows}
-        )
+        object.__setattr__(self, "_index", {c.code: i for i, c in enumerate(self.countries)})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TradeNetwork):
+            return NotImplemented
+        return self.countries == other.countries and self.flows == other.flows
 
     @property
     def n(self) -> int:
@@ -134,21 +252,33 @@ class TradeNetwork:
     @property
     def codes(self) -> tuple[str, ...]:
         """Country codes in network (name-alphabetical) order."""
-        return tuple(c.code for c in self.countries)
+        return self.flows.codes
 
     def country(self, code: str) -> CountryRecord:
+        return self.countries[self.index(code)]
+
+    def index(self, code: str) -> int:
         try:
-            return self._by_code[code]
+            return self._index[code]
         except KeyError:
             raise UnknownCountryError(f"unknown country code {code!r}") from None
 
-    def index(self, code: str) -> int:
-        self.country(code)
-        return self.codes.index(code)
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """Row of each (reporter, partner) index pair in ``flows``; -1 if unrecorded."""
+        rows = np.full((self.n, self.n), -1, dtype=np.intp)
+        rows[self.flows.reporter, self.flows.partner] = np.arange(len(self.flows))
+        return rows
 
     def flow(self, reporter: str, partner: str) -> BilateralFlow | None:
         """The reporter's record of trade with the partner, if any."""
-        return self._flow_index.get((reporter, partner))
+        if reporter not in self._index or partner not in self._index:
+            return None
+        row = self._rows[self._index[reporter], self._index[partner]]
+        if row < 0:
+            return None
+        exports, imports = float(self.flows.exports[row]), float(self.flows.imports[row])
+        return BilateralFlow(reporter, partner, exports, imports)
 
     def reported_trade(self, reporter: str, partner: str) -> float:
         """Exports + imports between the pair, per the reporter's books; 0 if unrecorded."""
@@ -157,47 +287,55 @@ class TradeNetwork:
 
 
 def build_network(
-    countries: list[CountryRecord] | tuple[CountryRecord, ...],
-    flows: list[BilateralFlow] | tuple[BilateralFlow, ...] = (),
+    countries: Iterable[CountryRecord],
+    flows: FlowTable | Iterable[BilateralFlow] = (),
 ) -> TradeNetwork:
     """Validate and assemble a :class:`TradeNetwork`.
 
     Countries are sorted alphabetically by display name and flows by
-    (reporter, partner), so the result is independent of input order.
+    (reporter, partner) code, so the result is independent of input order.
 
     Raises
     ------
     DuplicateCountryError, UnknownCountryError, DuplicateFlowError
-        Naming the offending record.  Self-flows and negative amounts are
-        rejected when the records themselves are constructed.
+        Naming the first offending record.  Self-flows and bad amounts are
+        rejected when the records or the table are made.
     """
-    seen: dict[str, CountryRecord] = {}
-    names: dict[str, str] = {}
-    for rec in countries:
-        if rec.code in seen:
+    countries = tuple(countries)
+    codes = [c.code for c in countries]
+    names = [c.name for c in countries]
+    fault = first_fault(
+        repeated(np.array(codes, dtype=object)), repeated(np.array(names, dtype=object))
+    )
+    if fault is not None:
+        rec = countries[fault[0]]
+        if fault[1] == 0:
             raise DuplicateCountryError(f"country code {rec.code} appears twice")
-        if rec.name in names:
-            raise DuplicateCountryError(
-                f"country name {rec.name!r} shared by {names[rec.name]} and {rec.code}"
-            )
-        seen[rec.code] = rec
-        names[rec.name] = rec.code
-
-    pairs: set[tuple[str, str]] = set()
-    for f in flows:
-        for code in (f.reporter, f.partner):
-            if code not in seen:
-                raise UnknownCountryError(
-                    f"flow ({f.reporter}, {f.partner}) references unknown country {code}"
-                )
-        key = (f.reporter, f.partner)
-        if key in pairs:
-            raise DuplicateFlowError(f"duplicate flow record for pair {key}")
-        pairs.add(key)
+        first = codes[names.index(rec.name)]
+        raise DuplicateCountryError(f"country name {rec.name!r} shared by {first} and {rec.code}")
 
     ordered = tuple(sorted(countries, key=lambda c: c.name))
-    ordered_flows = tuple(sorted(flows, key=lambda f: (f.reporter, f.partner)))
-    return TradeNetwork(ordered, ordered_flows)
+    n = len(ordered)
+    position = {c.code: i for i, c in enumerate(ordered)}
+    table = flows if isinstance(flows, FlowTable) else FlowTable.from_records(flows)
+    lookup = np.array([position.get(code, -1) for code in table.codes], dtype=np.intp)
+    reporter, partner = lookup[table.reporter], lookup[table.partner]
+    fault = first_fault((reporter < 0) | (partner < 0), repeated(reporter * n + partner))
+    if fault is not None:
+        row, check = fault
+        pair = (table.codes[table.reporter[row]], table.codes[table.partner[row]])
+        if check == 0:
+            missing = pair[0] if reporter[row] < 0 else pair[1]
+            raise UnknownCountryError(
+                f"flow ({pair[0]}, {pair[1]}) references unknown country {missing}"
+            )
+        raise DuplicateFlowError(f"duplicate flow record for pair {pair}")
+
+    code_rank = np.empty(n, dtype=np.intp)
+    code_rank[sorted(range(n), key=lambda i: ordered[i].code)] = np.arange(n)
+    order = np.argsort(code_rank[reporter] * n + code_rank[partner])
+    table = FlowTable(tuple(position), reporter, partner, table.exports, table.imports)
+    return TradeNetwork(ordered, table.take(order))
 
 
 @dataclass(frozen=True)

@@ -107,18 +107,16 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
         sum to its declared totals (its row then sums to flows/declared
         instead of 1).
     """
-    codes = network.codes
-    index = {code: i for i, code in enumerate(codes)}
-    values = np.zeros((network.n, network.n))
+    flows = network.flows
+    totals = flows.totals
+    reported = np.bincount(flows.reporter, weights=totals, minlength=network.n)
+    denoms = np.array(
+        [rec.total_trade if kind is WeightKind.TRADE else rec.offer for rec in network.countries],
+        dtype=float,
+    )
 
-    reported: dict[str, float] = {code: 0.0 for code in codes}
-    for flow in network.flows:
-        reported[flow.reporter] += flow.total
-
-    denoms: dict[str, float] = {}
-    for rec in network.countries:
-        denom = rec.total_trade if kind is WeightKind.TRADE else rec.offer
-        if denom == 0 and reported[rec.code] > 0:
+    for rec, denom, recorded in zip(network.countries, denoms, reported):
+        if denom == 0 and recorded > 0:
             if kind is WeightKind.OFFER:
                 raise ZeroOfferDenominatorError(
                     f"{rec.code} has flow records but zero GDP + imports"
@@ -129,24 +127,19 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
                 ConsistencyWarning,
                 stacklevel=2,
             )
-        denoms[rec.code] = denom
 
-    for flow in network.flows:
-        denom = denoms[flow.reporter]
-        if denom > 0:
-            values[index[flow.reporter], index[flow.partner]] = flow.total / denom
+    values = np.zeros((network.n, network.n))
+    rows = denoms[flows.reporter] > 0
+    reporter = flows.reporter[rows]
+    values[reporter, flows.partner[rows]] = totals[rows] / denoms[reporter]
 
     if kind is WeightKind.TRADE:
-        for rec in network.countries:
-            declared = rec.total_trade
-            if declared > 0 and not math.isclose(
-                reported[rec.code], declared, rel_tol=_CONSISTENCY_RTOL
-            ):
-                ratio = reported[rec.code] / declared
+        for rec, declared, recorded in zip(network.countries, denoms, reported):
+            if declared > 0 and not math.isclose(recorded, declared, rel_tol=_CONSISTENCY_RTOL):
                 warnings.warn(
-                    f"flows of {rec.code} sum to {ratio:.6g} of its declared totals",
+                    f"flows of {rec.code} sum to {recorded / declared:.6g} of its declared totals",
                     ConsistencyWarning,
                     stacklevel=2,
                 )
 
-    return InfluenceMatrix(codes, values, kind.matrix_kind)
+    return InfluenceMatrix(network.codes, values, kind.matrix_kind)

@@ -177,6 +177,15 @@ class TestRankCommand:
         assert payload["criterion"] == "influence"
         assert [row["rank"] for row in payload["rows"]] == [1, 2]
 
+    def test_pagerank_prints_only_written_paths(self, tmp_path, us_china_files, capsys):
+        out = tmp_path / "out"
+        assert main(["rank", *dataset_args(*us_china_files, out, "--method", "pagerank")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"wrote {out / name}" for name in (
+            "ranking_direct_trade_influence.csv",
+            "ranking_indirect_trade_pagerank_influence.csv",
+        )]
+
 
 class TestPlaneCommand:
     def test_uniform_network_all_sector_three(self, tmp_path, uniform_files):

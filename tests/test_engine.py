@@ -15,8 +15,10 @@ from tradenet import (
     pagerank_limit,
     pwp,
 )
+from tradenet import engine
 from tradenet.errors import (
     ColumnStochasticityError,
+    ConvergenceError,
     DimensionMismatchError,
     NegativeEntryError,
 )
@@ -89,6 +91,11 @@ class TestMatrixExponential:
         opts = ExpOptions(max_scaling_squarings=64)
         with pytest.raises(OverflowError):
             matrix_exponential(np.full((2, 2), 1e12), opts)
+
+    def test_series_cap_raises_instead_of_truncating(self, monkeypatch):
+        monkeypatch.setattr(engine, "_TAYLOR_TERM_CAP", 2)
+        with pytest.raises(ConvergenceError, match="2 terms"):
+            matrix_exponential(np.full((3, 3), 0.1))
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)

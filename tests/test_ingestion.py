@@ -1,8 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradenet import (
+    BilateralFlow,
+    CountryRecord,
     DatasetManifest,
+    WeightKind,
     build_network,
     load_countries,
     load_flows,
@@ -11,6 +19,7 @@ from tradenet import (
     save_flows,
     subset,
 )
+from tradenet import ingestion
 from tradenet.errors import (
     DuplicateCodeError,
     DuplicatePairError,
@@ -21,7 +30,7 @@ from tradenet.errors import (
     UnknownCountryError,
 )
 
-from conftest import AMERICAN_COUNTRIES, generated_pairs, synthetic_network
+from conftest import AMERICAN_COUNTRIES, direct_matrix_quietly, generated_pairs, synthetic_network
 
 COUNTRIES_HEADER = "code,name,gdp,total_exports,total_imports\n"
 FLOWS_HEADER = "reporter,partner,exports,imports\n"
@@ -145,6 +154,97 @@ class TestRoundTrip:
         assert reloaded == net
 
 
+# first fault of a flows file: the earliest line wins; within a line, field
+# count, self-flow, duplicate pair, exports, then imports
+FLOW_FAULTS = {
+    "negative before later self-flow": (
+        ["AAA,BBB,1,1", "AAA,CCC,-1,1", "BBB,AAA,1,1", "CCC,CCC,1,1"], NegativeAmountError, 3),
+    "field count before later self-flow": (
+        ["AAA,BBB,1,1", "AAA,CCC,1", "CCC,CCC,1,1"], MalformedRowError, 3),
+    "self-flow before later field count": (
+        ["AAA,BBB,1,1", "CCC,CCC,1,1", "AAA,CCC,1"], SelfFlowError, 3),
+    "self-flow before negative on one line": (["AAA,AAA,-1,1"], SelfFlowError, 2),
+    "duplicate before bad number on one line": (
+        ["AAA,BBB,1,1", "AAA,BBB,abc,1"], DuplicatePairError, 3),
+    "exports before imports": (["AAA,BBB,nan,-1"], MalformedRowError, 2),
+    "negative exports before bad imports": (["AAA,BBB,-1,abc"], NegativeAmountError, 2),
+    "zero-trade row still counts for duplicates": (
+        ["AAA,BBB,0,0", "AAA,BBB,1,1"], DuplicatePairError, 3),
+    "blank rows keep line numbers": (
+        ["AAA,BBB,1,1", "", ",,,", "AAA,BBB,2,2"], DuplicatePairError, 5),
+    "field count after duplicate across blocks": (
+        ["AAA,BBB,1,1", "BBB,AAA,1,1", "CCC,AAA,1,1", "AAA,BBB,1,1", "AAA"], DuplicatePairError, 5),
+}
+
+
+class TestFlowFaultPrecedence:
+    @pytest.mark.parametrize("block_rows", [2, ingestion._BLOCK_ROWS])
+    @pytest.mark.parametrize("case", sorted(FLOW_FAULTS))
+    def test_first_line_and_check_win(self, tmp_path, monkeypatch, case, block_rows):
+        monkeypatch.setattr(ingestion, "_BLOCK_ROWS", block_rows)
+        rows, error, line = FLOW_FAULTS[case]
+        path = write(tmp_path, "f.csv", FLOWS_HEADER + "\n".join(rows) + "\n")
+        with pytest.raises(error, match=f"f.csv:{line}:"):
+            load_flows(path)
+
+    def test_flows_file_is_checked_before_codes_resolve(self, tmp_path):
+        countries = write(tmp_path, "c.csv", COUNTRIES_HEADER + "AAA,Alpha,1,1,1\nBBB,Beta,1,1,1\n")
+        flows = write(tmp_path, "f.csv", FLOWS_HEADER + "AAA,ZZZ,1,1\nAAA,BBB,1,1\nAAA,BBB,1,1\n")
+        with pytest.raises(DuplicatePairError, match=":4:"):
+            load_network(DatasetManifest(countries, flows))
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("prefixed", [("c.csv",), ("f.csv",), ("c.csv", "f.csv")])
+    def test_bom_prefixed_files_load_like_plain_ones(self, tmp_path, prefixed):
+        rng = np.random.default_rng(96)
+        net = synthetic_network(generated_pairs(6), rng, density=0.5)
+        save_countries(net.countries, tmp_path / "c.csv")
+        save_flows(net.flows, tmp_path / "f.csv")
+        paths = {}
+        for name in ("c.csv", "f.csv"):
+            paths[name] = tmp_path / name
+            if name in prefixed:
+                paths[name] = tmp_path / f"bom_{name}"
+                paths[name].write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+        assert load_network(DatasetManifest(paths["c.csv"], paths["f.csv"])) == net
+
+
+# display names the CSV writer must quote or encode; the loader strips cells,
+# so names carry no surrounding whitespace
+AWKWARD_NAMES = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(list(',"\' \n;\u00e9\u00fc\u4e2d\u0416')),
+        st.characters(blacklist_categories=("Cs", "Cc")),
+    ),
+    min_size=1,
+    max_size=10,
+).map(str.strip).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(names=st.lists(AWKWARD_NAMES, min_size=1, max_size=6, unique=True), data=st.data())
+def test_save_load_round_trip_keeps_awkward_names(names, data):
+    amount = st.floats(min_value=0.5, max_value=1e12)
+    codes = [code for code, _ in generated_pairs(len(names))]
+    countries = [
+        CountryRecord(code, name, data.draw(amount), data.draw(amount), data.draw(amount))
+        for code, name in zip(codes, names)
+    ]
+    flows = [
+        BilateralFlow(a, b, data.draw(amount), data.draw(amount))
+        for a in codes
+        for b in codes
+        if a != b and data.draw(st.booleans())
+    ]
+    net = build_network(countries, flows)
+    with tempfile.TemporaryDirectory() as tmp:
+        c_path, f_path = Path(tmp) / "c.csv", Path(tmp) / "f.csv"
+        save_countries(net.countries, c_path)
+        save_flows(net.flows, f_path)
+        assert load_network(DatasetManifest(c_path, f_path)) == net
+
+
 class TestSubset:
     @pytest.fixture
     def network(self):
@@ -194,6 +294,20 @@ class TestSubset:
     def test_unknown_code_rejected(self, network):
         with pytest.raises(UnknownCountryError):
             subset(network, ["ZZZ"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+def test_subset_matrix_equals_matrix_of_filtered_records(seed, data):
+    world = synthetic_network(generated_pairs(8), np.random.default_rng(seed), density=0.5)
+    keep = data.draw(st.sets(st.sampled_from(world.codes), min_size=1))
+    records = [f for f in world.flows if f.reporter in keep and f.partner in keep]
+    direct = build_network([c for c in world.countries if c.code in keep], records)
+    for kind in WeightKind:
+        assert np.array_equal(
+            direct_matrix_quietly(subset(world, keep), kind).values,
+            direct_matrix_quietly(direct, kind).values,
+        )
 
 
 class TestManifest:

@@ -189,3 +189,46 @@ def test_increasing_a_flow_increases_only_its_entry(exports, imports, bump):
     untouched = np.ones((3, 3), dtype=bool)
     untouched[before.index("AAA"), before.index("BBB")] = False
     assert np.array_equal(before.values[untouched], after.values[untouched])
+
+
+def reference_direct(countries, flows, kind):
+    """Per-flow loop over the input records: entry = flow total / reporter's denominator."""
+    codes = [rec.code for rec in sorted(countries, key=lambda rec: rec.name)]
+    by_code = {rec.code: rec for rec in countries}
+    values = np.zeros((len(codes), len(codes)))
+    for flow in flows:
+        rec = by_code[flow.reporter]
+        denom = rec.total_trade if kind is WeightKind.TRADE else rec.offer
+        if denom > 0:
+            values[codes.index(flow.reporter), codes.index(flow.partner)] = flow.total / denom
+    return values
+
+
+AMOUNT = st.floats(min_value=0.0, max_value=1e12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=8))
+def test_direct_matrix_equals_per_flow_loop(data, n):
+    pairs = generated_pairs(n)
+    # a country either reports flows (and declares positive totals) or is a
+    # zero row, possibly fully isolated with zero totals and zero GDP
+    reports = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    countries = []
+    for (code, name), active in zip(pairs, reports):
+        low = 1.0 if active else 0.0
+        amount = st.floats(min_value=low, max_value=1e12)
+        gdp, exports, imports = (data.draw(amount) for _ in range(3))
+        countries.append(CountryRecord(code, name, gdp, exports, imports))
+    flows = []
+    for (a, _), active in zip(pairs, reports):
+        for b, _ in pairs:
+            if active and a != b and data.draw(st.booleans()):
+                exports, imports = data.draw(
+                    st.tuples(AMOUNT, AMOUNT).filter(lambda amounts: any(amounts))
+                )
+                flows.append(BilateralFlow(a, b, exports, imports))
+    net = build_network(countries, flows)
+    for kind in WeightKind:
+        got = direct_matrix_quietly(net, kind).values
+        assert np.array_equal(got, reference_direct(countries, flows, kind))
