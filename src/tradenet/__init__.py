@@ -18,7 +18,6 @@ from .analytics import (
     ranking_distance,
 )
 from .engine import (
-    ExpOptions,
     MethodSpec,
     column_normalize,
     heat_kernel,
@@ -55,7 +54,6 @@ __all__ = [
     "BilateralFlow",
     "CountryRecord",
     "DatasetManifest",
-    "ExpOptions",
     "FlowTable",
     "InfluenceMatrix",
     "MatrixKind",

@@ -18,15 +18,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import analytics
-from .engine import MethodSpec, column_normalize, pagerank_limit
+from .engine import MethodSpec
 from .errors import MalformedRowError, TradeNetError
 from .ingestion import DatasetManifest, load_network
 from .model import InfluenceMatrix, MatrixKind, TradeNetwork
@@ -44,11 +44,6 @@ __all__ = [
     "read_matrix_csv",
     "main",
 ]
-
-METHOD_CHOICES = ("pwp", "micmac", "pagerank", "heatkernel")
-
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -149,77 +144,61 @@ def _read_ranking(path: Path) -> dict[str, int]:
 
 # --- pipeline stages -------------------------------------------------------
 
-def _load(config: RunConfig) -> TradeNetwork:
-    return _run_stage("ingestion", load_network, config.manifest)
+def _network_and_direct(config: RunConfig) -> tuple[TradeNetwork, InfluenceMatrix]:
+    network = _run_stage("ingestion", load_network, config.manifest)
+    return network, _run_stage("weights", build_direct_matrix, network, config.weight)
 
 
-def _direct_matrix(config: RunConfig, network: TradeNetwork) -> InfluenceMatrix:
-    return _run_stage("weights", build_direct_matrix, network, config.weight)
+def _write_outputs(config: RunConfig, writers: dict[str, Callable[[Path], None]]) -> list[Path]:
+    """Create the output directory and run each file's writer, in the ``io`` stage."""
+    paths = {config.output_dir / name: write for name, write in writers.items()}
 
+    def write_all() -> None:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+        for path, write in paths.items():
+            write(path)
 
-def _indirect_matrix(config: RunConfig, direct: InfluenceMatrix) -> InfluenceMatrix:
-    def compute():
-        if config.method.method == "pagerank":
-            # raw weight matrices are not column-stochastic
-            logger.info("column-normalizing direct matrix for pagerank")
-            return pagerank_limit(column_normalize(direct), config.method.p)
-        return config.method.apply(direct)
-
-    return _run_stage("engine", compute)
+    _run_stage("io", write_all)
+    return list(paths)
 
 
 # --- commands ---------------------------------------------------------------
 
 def cmd_matrix(config: RunConfig) -> list[Path]:
     """Write ``direct_<weight>.csv`` and ``indirect_<weight>_<method>.csv``."""
-    network = _load(config)
-    direct = _direct_matrix(config, network)
-    indirect = _indirect_matrix(config, direct)
-    out = config.output_dir
-    paths = [
-        out / f"direct_{config.weight.value}.csv",
-        out / f"indirect_{config.weight.value}_{config.method.method}.csv",
-    ]
-    def write():
-        out.mkdir(parents=True, exist_ok=True)
-        write_matrix_csv(direct, paths[0])
-        write_matrix_csv(indirect, paths[1])
-    _run_stage("io", write)
-    return paths
+    _, direct = _network_and_direct(config)
+    indirect = _run_stage("engine", config.method.apply, direct)
+    weight, method = config.weight.value, config.method.method
+    return _write_outputs(config, {
+        f"direct_{weight}.csv": lambda path: write_matrix_csv(direct, path),
+        f"indirect_{weight}_{method}.csv": lambda path: write_matrix_csv(indirect, path),
+    })
 
 
 def cmd_rank(config: RunConfig, criterion: str = "influence") -> list[Path]:
     """Write ranking tables for the direct and the indirect matrix."""
-    network = _load(config)
-    direct = _direct_matrix(config, network)
-    indirect = _indirect_matrix(config, direct)
+    network, direct = _network_and_direct(config)
+    indirect = _run_stage("engine", config.method.apply, direct)
     direct_report = _run_stage("engine", analytics.rank, direct, criterion)
     indirect_report = _run_stage("engine", analytics.rank, indirect, criterion)
-    ext = config.output_format
-    out = config.output_dir
-    paths = [
-        out / f"ranking_direct_{config.weight.value}_{criterion}.{ext}",
-        out / f"ranking_indirect_{config.weight.value}_{config.method.method}_{criterion}.{ext}",
-    ]
-    def write():
-        out.mkdir(parents=True, exist_ok=True)
-        _write_ranking(direct_report, network, paths[0], ext)
-        _write_ranking(indirect_report, network, paths[1], ext)
-    _run_stage("io", write)
-    return paths
+    weight, method, ext = config.weight.value, config.method.method, config.output_format
+    return _write_outputs(config, {
+        f"ranking_direct_{weight}_{criterion}.{ext}":
+            lambda path: _write_ranking(direct_report, network, path, ext),
+        f"ranking_indirect_{weight}_{method}_{criterion}.{ext}":
+            lambda path: _write_ranking(indirect_report, network, path, ext),
+    })
 
 
-def cmd_plane(config: RunConfig) -> Path:
+def cmd_plane(config: RunConfig) -> list[Path]:
     """Write the dependence-influence plane of the indirect matrix."""
-    network = _load(config)
-    direct = _direct_matrix(config, network)
-    indirect = _indirect_matrix(config, direct)
+    _, direct = _network_and_direct(config)
+    indirect = _run_stage("engine", config.method.apply, direct)
     points = _run_stage("engine", analytics.plane, indirect)
     d_mean = sum(p.dependence for p in points) / len(points)
     f_mean = sum(p.influence for p in points) / len(points)
-    path = config.output_dir / f"plane_{config.weight.value}_{config.method.method}.csv"
-    def write():
-        config.output_dir.mkdir(parents=True, exist_ok=True)
+
+    def write(path: Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             handle.write(f"# mean_dependence={_fmt(d_mean)} mean_influence={_fmt(f_mean)}\n")
             writer = csv.writer(handle, lineterminator="\n")
@@ -228,8 +207,8 @@ def cmd_plane(config: RunConfig) -> Path:
                 writer.writerow(
                     [point.code, _fmt(point.dependence), _fmt(point.influence), point.sector]
                 )
-    _run_stage("io", write)
-    return path
+
+    return _write_outputs(config, {f"plane_{config.weight.value}_{config.method.method}.csv": write})
 
 
 @dataclass(frozen=True)
@@ -255,35 +234,31 @@ def cmd_compare(ranking_a: Path, ranking_b: Path) -> ComparisonReport:
     return ComparisonReport(distance, tuple(deltas))
 
 
-def cmd_export_dot(config: RunConfig, min_weight: float = 0.0) -> Path:
-    """Write the direct network as a DOT digraph.
+def cmd_export_dot(config: RunConfig, min_weight: float = 0.0) -> list[Path]:
+    """Write the direct network as a DOT digraph; the engine does not run.
 
     One node per country; one edge per nonzero direct entry at or above
     ``min_weight``, oriented influencer -> influenced and carrying the
     entry as its ``weight`` attribute.  Nodes and edges are emitted in
     alphabetical order.
     """
-    network = _load(config)
-    direct = _direct_matrix(config, network)
-    path = config.output_dir / f"network_{config.weight.value}.dot"
-    edges = []
-    for i, target in enumerate(direct.labels):
-        for j, source in enumerate(direct.labels):
-            value = direct.values[i, j]
-            if value != 0 and value >= min_weight:
-                edges.append((source, target, value))
-    edges.sort(key=lambda e: (e[0], e[1]))
-    def write():
-        config.output_dir.mkdir(parents=True, exist_ok=True)
+    _, direct = _network_and_direct(config)
+    labels, values = direct.labels, direct.values
+    targets, sources = np.nonzero((values != 0) & (values >= min_weight))
+    edges = sorted(
+        (labels[j], labels[i], values[i, j]) for i, j in zip(targets.tolist(), sources.tolist())
+    )
+
+    def write(path: Path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("digraph trade {\n")
-            for code in sorted(direct.labels):
+            for code in sorted(labels):
                 handle.write(f'  "{code}";\n')
             for source, target, value in edges:
                 handle.write(f'  "{source}" -> "{target}" [weight={_fmt(value)}];\n')
             handle.write("}\n")
-    _run_stage("io", write)
-    return path
+
+    return _write_outputs(config, {f"network_{config.weight.value}.dot": write})
 
 
 # --- argument parsing --------------------------------------------------------
@@ -292,11 +267,10 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--countries", required=True, help="countries CSV path")
     parser.add_argument("--flows", required=True, help="flows CSV path")
     parser.add_argument("--region", help="comma-separated country codes to keep")
-    parser.add_argument("--year", default="", help="dataset year label")
     parser.add_argument(
         "--weight", choices=[k.value for k in WeightKind], default="trade"
     )
-    parser.add_argument("--method", choices=METHOD_CHOICES, default="pwp")
+    parser.add_argument("--method", choices=tuple(MethodSpec.METHODS), default="pwp")
     parser.add_argument("--lambda", dest="lam", type=float, help="pwp/heatkernel parameter")
     parser.add_argument("--k", type=int, help="micmac path length")
     parser.add_argument("--p", type=float, help="pagerank teleportation parameter")
@@ -337,10 +311,7 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
     if args.region:
         region = tuple(code.strip() for code in args.region.split(",") if code.strip())
     manifest = DatasetManifest(
-        countries_path=args.countries,
-        flows_path=args.flows,
-        year_label=args.year,
-        region_filter=region,
+        countries_path=args.countries, flows_path=args.flows, region_filter=region
     )
     try:
         method = MethodSpec(args.method, lam=args.lam, k=args.k, p=args.p)
@@ -365,14 +336,14 @@ def main(argv: list[str] | None = None) -> int:
                 print(line)
             return 0
         config = _config_from_args(parser, args)
-        if args.command == "matrix":
-            written = cmd_matrix(config)
-        elif args.command == "rank":
+        if args.command == "rank":
             written = cmd_rank(config, args.criterion)
+        elif args.command == "export-dot":
+            written = cmd_export_dot(config, args.min_weight)
         elif args.command == "plane":
-            written = [cmd_plane(config)]
+            written = cmd_plane(config)
         else:
-            written = [cmd_export_dot(config, args.min_weight)]
+            written = cmd_matrix(config)
         for path in written:
             print(f"wrote {path}")
         return 0

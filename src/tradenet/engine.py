@@ -14,8 +14,9 @@ Four operators are provided, all reading a matrix ``D`` whose entry
 
 Each operator accepts an :class:`~tradenet.model.InfluenceMatrix` (returning
 one with kind ``indirect`` and the operator's parameters) or a plain square
-array (returning an array).  All are pure functions of their inputs and
-deterministic for fixed options.
+array (returning an array).  All are pure, deterministic functions of their
+inputs.  :class:`MethodSpec` is the registry of operator names the command
+line offers.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .errors import (
 from .model import InfluenceMatrix, MatrixKind
 
 __all__ = [
-    "ExpOptions",
     "MethodSpec",
     "matrix_exponential",
     "pwp",
@@ -44,21 +44,9 @@ __all__ = [
     "heat_kernel",
 ]
 
-_TAYLOR_TERM_CAP = 128  # unreachable for scaled norm <= 0.5; guards bad tolerances
-
-
-@dataclass(frozen=True)
-class ExpOptions:
-    """Numerical controls for the dense matrix exponential."""
-
-    taylor_tolerance: float = 1e-13
-    max_scaling_squarings: int = 32
-
-    def __post_init__(self) -> None:
-        if not 0 < self.taylor_tolerance <= 1e-6:
-            raise ValueError(f"taylor_tolerance must be in (0, 1e-6], got {self.taylor_tolerance}")
-        if self.max_scaling_squarings < 0:
-            raise ValueError("max_scaling_squarings must be non-negative")
+_TAYLOR_TOLERANCE = 1e-13  # series stops at a term this small relative to the sum
+_TAYLOR_TERM_CAP = 128  # unreachable for scaled norm <= 0.5; guards the loop
+_MAX_SQUARINGS = 32  # inputs needing more are refused with OverflowError
 
 
 def _square_array(m) -> np.ndarray:
@@ -80,11 +68,11 @@ def _pack(source: InfluenceMatrix | None, values: np.ndarray, kind: MatrixKind):
     return source.with_values(values, kind)
 
 
-def matrix_exponential(m, options: ExpOptions | None = None) -> np.ndarray:
+def matrix_exponential(m) -> np.ndarray:
     """Dense ``exp(m)`` by scaling and squaring with a truncated power series.
 
     The matrix is scaled by ``2**s`` so its 1-norm is at most 0.5, the
-    series is summed until a term falls below ``taylor_tolerance`` times the
+    series is summed until a term falls below ``_TAYLOR_TOLERANCE`` times the
     dominant entry of the partial sum, and the result is squared ``s``
     times.
 
@@ -95,10 +83,9 @@ def matrix_exponential(m, options: ExpOptions | None = None) -> np.ndarray:
     ConvergenceError
         If the series has not converged after ``_TAYLOR_TERM_CAP`` terms.
     OverflowError
-        If the required scaling exceeds ``max_scaling_squarings`` or the
-        result leaves the representable range.
+        If the required scaling exceeds ``_MAX_SQUARINGS`` or the result
+        leaves the representable range.
     """
-    opts = options if options is not None else ExpOptions()
     a = _square_array(m)
     n = a.shape[0]
     if n == 0:
@@ -108,10 +95,9 @@ def matrix_exponential(m, options: ExpOptions | None = None) -> np.ndarray:
 
     norm = float(np.abs(a).sum(axis=0).max())
     squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
-    if squarings > opts.max_scaling_squarings:
+    if squarings > _MAX_SQUARINGS:
         raise OverflowError(
-            f"matrix 1-norm {norm:g} needs {squarings} squarings "
-            f"(limit {opts.max_scaling_squarings})"
+            f"matrix 1-norm {norm:g} needs {squarings} squarings (limit {_MAX_SQUARINGS})"
         )
 
     scaled = a / 2.0**squarings
@@ -122,7 +108,7 @@ def matrix_exponential(m, options: ExpOptions | None = None) -> np.ndarray:
             term = term @ scaled / k
             result = result + term
             term_norm = np.abs(term).max()
-            if term_norm <= opts.taylor_tolerance * max(1.0, np.abs(result).max()):
+            if term_norm <= _TAYLOR_TOLERANCE * max(1.0, np.abs(result).max()):
                 break
         else:
             raise ConvergenceError(
@@ -137,7 +123,7 @@ def matrix_exponential(m, options: ExpOptions | None = None) -> np.ndarray:
     return result
 
 
-def pwp(direct, lam: float = 1.0, options: ExpOptions | None = None):
+def pwp(direct, lam: float = 1.0):
     """Indirect influences as ``(exp(lam*D) - I) / (exp(lam) - 1)``.
 
     The numerator drops the identity from the matrix exponential
@@ -149,7 +135,7 @@ def pwp(direct, lam: float = 1.0, options: ExpOptions | None = None):
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     values, source = _unpack(direct)
-    numerator = matrix_exponential(lam * values, options) - np.identity(values.shape[0])
+    numerator = matrix_exponential(lam * values) - np.identity(values.shape[0])
     out = numerator / math.expm1(lam)
     return _pack(source, out, MatrixKind.indirect("pwp", **{"lambda": lam}))
 
@@ -240,12 +226,12 @@ def pagerank_limit(
     return _pack(source, np.repeat(v[:, None], n, axis=1), kind)
 
 
-def heat_kernel(direct, lam: float = 1.0, options: ExpOptions | None = None):
+def heat_kernel(direct, lam: float = 1.0):
     """Indirect influences as ``exp(lam*(D - I))``."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     values, source = _unpack(direct)
-    out = matrix_exponential(lam * (values - np.identity(values.shape[0])), options)
+    out = matrix_exponential(lam * (values - np.identity(values.shape[0])))
     return _pack(source, out, MatrixKind.indirect("heatkernel", **{"lambda": lam}))
 
 
@@ -253,10 +239,10 @@ def heat_kernel(direct, lam: float = 1.0, options: ExpOptions | None = None):
 class MethodSpec:
     """An indirect-influence operator choice plus its parameter.
 
-    Exactly the parameter relevant to the method may be set: ``lam`` for
-    ``pwp`` and ``heatkernel``, ``k`` for ``micmac``, ``p`` for
-    ``pagerank``.  Unset parameters take the conventional defaults
-    (``lam=1``, ``k=4``, ``p=0.86``).
+    ``METHODS`` lists the operator names, each with its one parameter and
+    that parameter's conventional default: ``lam=1`` for ``pwp`` and
+    ``heatkernel``, ``k=4`` for ``micmac``, ``p=0.86`` for ``pagerank``.
+    Only the method's own parameter may be set.
     """
 
     method: str
@@ -264,12 +250,12 @@ class MethodSpec:
     k: int | None = None
     p: float | None = None
 
-    _DEFAULTS = {"pwp": ("lam", 1.0), "heatkernel": ("lam", 1.0), "micmac": ("k", 4), "pagerank": ("p", 0.86)}
+    METHODS = {"pwp": ("lam", 1.0), "micmac": ("k", 4), "pagerank": ("p", 0.86), "heatkernel": ("lam", 1.0)}
 
     def __post_init__(self) -> None:
-        if self.method not in self._DEFAULTS:
+        if self.method not in self.METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        relevant, default = self._DEFAULTS[self.method]
+        relevant, default = self.METHODS[self.method]
         for name in ("lam", "k", "p"):
             value = getattr(self, name)
             if name == relevant:
@@ -285,16 +271,16 @@ class MethodSpec:
         if self.p is not None and not 0 < self.p < 1:
             raise ValueError("p must lie in (0, 1)")
 
-    def apply(self, direct, options: ExpOptions | None = None):
+    def apply(self, direct):
         """Run the chosen operator on a direct matrix.
 
-        ``pagerank`` expects an already column-normalized input; compose
-        with :func:`column_normalize` for raw weight matrices.
+        ``pagerank`` column-normalizes its input first, since raw weight
+        matrices are not column-stochastic.
         """
         if self.method == "pwp":
-            return pwp(direct, self.lam, options)
+            return pwp(direct, self.lam)
         if self.method == "heatkernel":
-            return heat_kernel(direct, self.lam, options)
+            return heat_kernel(direct, self.lam)
         if self.method == "micmac":
             return micmac(direct, self.k)
-        return pagerank_limit(direct, self.p)
+        return pagerank_limit(column_normalize(direct), self.p)

@@ -94,7 +94,3 @@ class MissingColumnError(TradeNetError):
 class MalformedRowError(TradeNetError):
     """A CSV data row cannot be parsed; message carries the 1-based line number."""
 
-
-# former ingestion-only names of the two duplicate errors
-DuplicateCodeError = DuplicateCountryError
-DuplicatePairError = DuplicateFlowError

@@ -130,19 +130,23 @@ def load_countries(path: str | Path) -> list[CountryRecord]:
     except MalformedRowError as exc:
         pending = exc
     codes = np.array([row[0] for row in fields], dtype=object)
-    duplicate = repeated(codes)
+    amounts = [_floats([row[k] for row in fields]) for k in range(2, len(COUNTRY_COLUMNS))]
+    fault = first_fault(repeated(codes), *map(invalid_amounts, amounts))
+    # rows before the first fault may still hold a bad code or name
     records: list[CountryRecord] = []
-    for i, row in enumerate(fields):
-        where = f"{path}:{lines[i]}"
-        if duplicate[i]:
-            first = lines[int(np.flatnonzero(codes == codes[i])[0])]
-            raise DuplicateCountryError(f"{where}: code {row[0]} already defined on line {first}")
-        for column, text in zip(COUNTRY_COLUMNS[2:], row[2:]):
-            checked_amount(text, f"{where}: {column}", MalformedRowError)
+    for i in range(len(fields) if fault is None else fault[0]):
         try:
-            records.append(CountryRecord(*row))
+            records.append(CountryRecord(fields[i][0], fields[i][1], *(a[i] for a in amounts)))
         except ValueError as exc:
-            raise MalformedRowError(f"{where}: {exc}") from None
+            raise MalformedRowError(f"{path}:{lines[i]}: {exc}") from None
+    if fault is not None:
+        row, check = fault
+        where = f"{path}:{lines[row]}"
+        if check == 0:
+            first = lines[int(np.flatnonzero(codes == codes[row])[0])]
+            raise DuplicateCountryError(f"{where}: code {codes[row]} already defined on line {first}")
+        column = COUNTRY_COLUMNS[check + 1]
+        checked_amount(fields[row][check + 1], f"{where}: {column}", MalformedRowError)
     if pending is not None:
         raise pending
     return records
@@ -251,7 +255,6 @@ class DatasetManifest:
 
     countries_path: str | Path
     flows_path: str | Path
-    year_label: str = ""
     region_filter: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:

@@ -12,15 +12,15 @@ against A's domestic trade.
 
 Rows always divide by the country's *declared* totals.  When a country's
 flow records do not add up to those totals (common in real data, where not
-every partner is recorded) the trade-share row sums below 1 and a
-:class:`~tradenet.errors.ConsistencyWarning` is emitted naming the country
-and the attained ratio.
+every partner is recorded) its trade-share row sums to the ratio of the two
+instead of 1.  Building a trade-share matrix then emits one
+:class:`~tradenet.errors.ConsistencyWarning` for the whole matrix, giving
+the number of such countries and the one whose ratio lies furthest from 1.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 
 import numpy as np
@@ -30,8 +30,9 @@ from .model import InfluenceMatrix, MatrixKind, TradeNetwork
 
 __all__ = ["WeightKind", "trade_influence", "offer_influence", "build_direct_matrix"]
 
-# relative flow-total mismatch beyond which a ConsistencyWarning is emitted;
-# loose enough to ignore float rounding, tight enough to flag real data gaps
+# relative flow-total mismatch beyond which a country counts as inconsistent
+# (math.isclose's symmetric rule); loose enough to ignore float rounding,
+# tight enough to flag real data gaps
 _CONSISTENCY_RTOL = 1e-9
 
 
@@ -103,9 +104,9 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
     Warns
     -----
     ConsistencyWarning
-        For ``kind=TRADE``, for each country whose recorded flows do not
-        sum to its declared totals (its row then sums to flows/declared
-        instead of 1).
+        For ``kind=TRADE``, once if any country's recorded flows do not sum
+        to its declared totals (its row then sums to flows/declared instead
+        of 1), with the count of such countries and the furthest ratio.
     """
     flows = network.flows
     totals = flows.totals
@@ -134,12 +135,19 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
     values[reporter, flows.partner[rows]] = totals[rows] / denoms[reporter]
 
     if kind is WeightKind.TRADE:
-        for rec, declared, recorded in zip(network.countries, denoms, reported):
-            if declared > 0 and not math.isclose(recorded, declared, rel_tol=_CONSISTENCY_RTOL):
-                warnings.warn(
-                    f"flows of {rec.code} sum to {recorded / declared:.6g} of its declared totals",
-                    ConsistencyWarning,
-                    stacklevel=2,
-                )
+        mismatched = np.flatnonzero(
+            (denoms > 0)
+            & (np.abs(reported - denoms) > _CONSISTENCY_RTOL * np.maximum(reported, denoms))
+        )
+        if len(mismatched):
+            ratios = reported[mismatched] / denoms[mismatched]
+            furthest = int(np.argmax(np.abs(ratios - 1.0)))
+            countries = "country" if len(mismatched) == 1 else "countries"
+            warnings.warn(
+                f"flows of {len(mismatched)} {countries} do not sum to their declared totals; "
+                f"furthest: {network.codes[mismatched[furthest]]} at {ratios[furthest]:.6g}",
+                ConsistencyWarning,
+                stacklevel=2,
+            )
 
     return InfluenceMatrix(network.codes, values, kind.matrix_kind)

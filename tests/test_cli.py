@@ -294,6 +294,14 @@ class TestExportDot:
         main(["export-dot", *dataset_args(*us_china_files, out, "--min-weight", "0.5")])
         assert "->" not in (out / "network_trade.dot").read_text()
 
+    def test_operator_options_do_not_run_the_engine(self, tmp_path, us_china_files):
+        # pwp at lambda=800 overflows, but export-dot never applies the method
+        out = tmp_path / "out"
+        argv = dataset_args(*us_china_files, out, "--method", "pwp", "--lambda", "800")
+        assert main(["export-dot", *argv]) == 0
+        assert "->" in (out / "network_trade.dot").read_text()
+        assert main(["matrix", *argv]) == 1
+
     @pytest.mark.parametrize("threshold", [0.0, 0.01, 0.05])
     def test_edge_count_matches_entry_count(self, tmp_path, triangle_network, threshold):
         files = write_dataset(tmp_path, triangle_network)

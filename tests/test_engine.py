@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tradenet import (
-    ExpOptions,
     InfluenceMatrix,
     MatrixKind,
     MethodSpec,
@@ -88,9 +87,9 @@ class TestMatrixExponential:
             matrix_exponential(np.full((2, 2), 1e12))
 
     def test_overflow_when_result_leaves_range(self):
-        opts = ExpOptions(max_scaling_squarings=64)
-        with pytest.raises(OverflowError):
-            matrix_exponential(np.full((2, 2), 1e12), opts)
+        # 12 squarings are within the scaling limit; exp(2000) is not finite
+        with pytest.raises(OverflowError, match="overflowed the floating-point range"):
+            matrix_exponential(np.full((2, 2), 1e3))
 
     def test_series_cap_raises_instead_of_truncating(self, monkeypatch):
         monkeypatch.setattr(engine, "_TAYLOR_TERM_CAP", 2)
@@ -101,14 +100,6 @@ class TestMatrixExponential:
         rng = np.random.default_rng(13)
         a = rng.uniform(size=(6, 6))
         assert np.array_equal(matrix_exponential(a), matrix_exponential(a))
-
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            ExpOptions(taylor_tolerance=0.0)
-        with pytest.raises(ValueError):
-            ExpOptions(taylor_tolerance=1e-3)
-        with pytest.raises(ValueError):
-            ExpOptions(max_scaling_squarings=-1)
 
 
 class TestPwp:
@@ -326,7 +317,12 @@ class TestMethodSpec:
         assert np.array_equal(MethodSpec("pwp", lam=2.0).apply(d), pwp(d, 2.0))
         assert np.array_equal(MethodSpec("micmac", k=2).apply(d), micmac(d, 2))
         assert np.array_equal(MethodSpec("heatkernel").apply(d), heat_kernel(d, 1.0))
-        normalized = column_normalize(d)
+        # d's columns sum to 0.3 and 0.4: pagerank normalizes raw weights first
+        with pytest.raises(ColumnStochasticityError):
+            pagerank_limit(d)
         assert np.array_equal(
-            MethodSpec("pagerank").apply(normalized), pagerank_limit(normalized)
+            MethodSpec("pagerank").apply(d), pagerank_limit(column_normalize(d))
         )
+
+    def test_methods_registry_lists_every_operator(self):
+        assert tuple(MethodSpec.METHODS) == ("pwp", "micmac", "pagerank", "heatkernel")

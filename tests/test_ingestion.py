@@ -21,8 +21,8 @@ from tradenet import (
 )
 from tradenet import ingestion
 from tradenet.errors import (
-    DuplicateCodeError,
-    DuplicatePairError,
+    DuplicateCountryError,
+    DuplicateFlowError,
     MalformedRowError,
     MissingColumnError,
     NegativeAmountError,
@@ -89,7 +89,7 @@ class TestLoadCountries:
             "c.csv",
             COUNTRIES_HEADER + "AAA,Alpha,1,1,1\nAAA,Other,1,1,1\n",
         )
-        with pytest.raises(DuplicateCodeError, match="line 2"):
+        with pytest.raises(DuplicateCountryError, match="line 2"):
             load_countries(path)
 
     def test_column_order_is_flexible(self, tmp_path):
@@ -121,7 +121,7 @@ class TestLoadFlows:
             "f.csv",
             FLOWS_HEADER + "USA,CHN,1,1\nCHN,USA,1,1\nUSA,CHN,2,2\n",
         )
-        with pytest.raises(DuplicatePairError, match="line 2") as exc:
+        with pytest.raises(DuplicateFlowError, match="line 2") as exc:
             load_flows(path)
         assert ":4:" in str(exc.value)
 
@@ -165,15 +165,15 @@ FLOW_FAULTS = {
         ["AAA,BBB,1,1", "CCC,CCC,1,1", "AAA,CCC,1"], SelfFlowError, 3),
     "self-flow before negative on one line": (["AAA,AAA,-1,1"], SelfFlowError, 2),
     "duplicate before bad number on one line": (
-        ["AAA,BBB,1,1", "AAA,BBB,abc,1"], DuplicatePairError, 3),
+        ["AAA,BBB,1,1", "AAA,BBB,abc,1"], DuplicateFlowError, 3),
     "exports before imports": (["AAA,BBB,nan,-1"], MalformedRowError, 2),
     "negative exports before bad imports": (["AAA,BBB,-1,abc"], NegativeAmountError, 2),
     "zero-trade row still counts for duplicates": (
-        ["AAA,BBB,0,0", "AAA,BBB,1,1"], DuplicatePairError, 3),
+        ["AAA,BBB,0,0", "AAA,BBB,1,1"], DuplicateFlowError, 3),
     "blank rows keep line numbers": (
-        ["AAA,BBB,1,1", "", ",,,", "AAA,BBB,2,2"], DuplicatePairError, 5),
+        ["AAA,BBB,1,1", "", ",,,", "AAA,BBB,2,2"], DuplicateFlowError, 5),
     "field count after duplicate across blocks": (
-        ["AAA,BBB,1,1", "BBB,AAA,1,1", "CCC,AAA,1,1", "AAA,BBB,1,1", "AAA"], DuplicatePairError, 5),
+        ["AAA,BBB,1,1", "BBB,AAA,1,1", "CCC,AAA,1,1", "AAA,BBB,1,1", "AAA"], DuplicateFlowError, 5),
 }
 
 
@@ -190,7 +190,7 @@ class TestFlowFaultPrecedence:
     def test_flows_file_is_checked_before_codes_resolve(self, tmp_path):
         countries = write(tmp_path, "c.csv", COUNTRIES_HEADER + "AAA,Alpha,1,1,1\nBBB,Beta,1,1,1\n")
         flows = write(tmp_path, "f.csv", FLOWS_HEADER + "AAA,ZZZ,1,1\nAAA,BBB,1,1\nAAA,BBB,1,1\n")
-        with pytest.raises(DuplicatePairError, match=":4:"):
+        with pytest.raises(DuplicateFlowError, match=":4:"):
             load_network(DatasetManifest(countries, flows))
 
 
@@ -319,7 +319,6 @@ class TestManifest:
         manifest = DatasetManifest(
             countries_path=tmp_path / "c.csv",
             flows_path=tmp_path / "f.csv",
-            year_label="2011",
             region_filter=net.codes[:3],
         )
         loaded = load_network(manifest)

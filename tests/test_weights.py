@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +129,42 @@ class TestBuildDirectMatrix:
             m = build_direct_matrix(net, WeightKind.TRADE)
         assert m.values.sum(axis=1)[0] == pytest.approx(5.0 / 20.0)
 
+    def test_one_warning_names_count_and_furthest_country(self):
+        countries = [
+            CountryRecord("AAA", "Alpha", 100.0, 10.0, 10.0),  # flows 5 of 20: 0.25
+            CountryRecord("BBB", "Beta", 100.0, 5.0, 5.0),  # flows 10 of 10
+            CountryRecord("CCC", "Gamma", 100.0, 4.0, 4.0),  # flows 6 of 8: 0.75
+            CountryRecord("DDD", "Delta", 100.0, 2.0, 2.0),  # flows 6 of 4: 1.5
+        ]
+        flows = [
+            BilateralFlow("AAA", "BBB", 3.0, 2.0),
+            BilateralFlow("BBB", "AAA", 4.0, 6.0),
+            BilateralFlow("CCC", "AAA", 3.0, 3.0),
+            BilateralFlow("DDD", "CCC", 3.0, 3.0),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_direct_matrix(build_network(countries, flows), WeightKind.TRADE)
+        assert [str(w.message) for w in caught] == [
+            "flows of 3 countries do not sum to their declared totals; furthest: AAA at 0.25"
+        ]
+        assert caught[0].category is ConsistencyWarning
+
+    def test_tolerance_is_symmetric_like_isclose(self):
+        # |a - b| lies between 1e-9*b and 1e-9*a: math.isclose calls the pair
+        # close, a tolerance relative to the declared side alone would not
+        recorded, declared = 673495.000673495, 673495.0
+        assert math.isclose(recorded, declared, rel_tol=1e-9)
+        assert abs(recorded - declared) > 1e-9 * declared
+        countries = [
+            CountryRecord("AAA", "Alpha", 1.0, declared, 0.0),
+            CountryRecord("BBB", "Beta", 1.0, 0.0, 0.0),
+        ]
+        net = build_network(countries, [BilateralFlow("AAA", "BBB", recorded, 0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConsistencyWarning)
+            build_direct_matrix(net, WeightKind.TRADE)
+
     def test_isolated_country_gets_zero_row(self):
         a = CountryRecord("AAA", "Alpha", 100.0, 0.0, 0.0)
         b = CountryRecord("BBB", "Beta", 100.0, 5.0, 5.0)
@@ -232,3 +271,43 @@ def test_direct_matrix_equals_per_flow_loop(data, n):
     for kind in WeightKind:
         got = direct_matrix_quietly(net, kind).values
         assert np.array_equal(got, reference_direct(countries, flows, kind))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=8))
+def test_consistency_warning_counts_like_isclose(data, n):
+    pairs = generated_pairs(n)
+    countries = [
+        CountryRecord(code, name, 1.0, *data.draw(st.tuples(AMOUNT, AMOUNT)))
+        for code, name in pairs
+    ]
+    flows = [
+        BilateralFlow(a, b, *data.draw(st.tuples(AMOUNT, AMOUNT).filter(any)))
+        for a, _ in pairs
+        for b, _ in pairs
+        if a != b and data.draw(st.booleans())
+    ]
+    net = build_network(countries, flows)
+    reported = {code: 0.0 for code in net.codes}
+    for flow in net.flows:
+        reported[flow.reporter] += flow.total
+    mismatched = [
+        code
+        for code in net.codes
+        if net.country(code).total_trade > 0
+        and not math.isclose(reported[code], net.country(code).total_trade, rel_tol=1e-9)
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_direct_matrix(net, WeightKind.TRADE)
+    summaries = [str(w.message) for w in caught if str(w.message).startswith("flows of ")]
+    if not mismatched:
+        assert summaries == []
+        return
+    ratio = {code: reported[code] / net.country(code).total_trade for code in mismatched}
+    furthest = max(mismatched, key=lambda code: abs(ratio[code] - 1.0))
+    countries = "country" if len(mismatched) == 1 else "countries"
+    assert summaries == [
+        f"flows of {len(mismatched)} {countries} do not sum to their declared totals; "
+        f"furthest: {furthest} at {ratio[furthest]:.6g}"
+    ]
