@@ -12,6 +12,15 @@ Four operators are provided, all reading a matrix ``D`` whose entry
   of direct influences, of any length, contributes, weighted by
   ``lambda^k / k!``; the divisor is the *scalar* ``exp(lambda) - 1``.
 
+``heat_kernel`` and ``pwp`` share one kernel,
+``G = e^-lambda * (exp(lambda*D) - I)``, computed by scaling and squaring on
+``exp(x) - 1`` (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)):
+``heat_kernel = G + e^-lambda * I`` and ``pwp = G / (1 - e^-lambda)``.
+Neither forms ``e^lambda``, so both are finite for every ``lambda > 0`` with
+``lambda * ||D||_1 <= 2**31`` (largest column sum of ``|D|``); beyond that
+the scaling needs more than ``_MAX_SQUARINGS`` squarings and raises
+:class:`OverflowError`.
+
 Each operator accepts an :class:`~tradenet.model.InfluenceMatrix` (returning
 one with kind ``indirect`` and the operator's parameters) or a plain square
 array (returning an array).  All are pure, deterministic functions of their
@@ -44,7 +53,7 @@ __all__ = [
     "heat_kernel",
 ]
 
-_TAYLOR_TOLERANCE = 1e-13  # series stops at a term this small relative to the sum
+_SERIES_TOLERANCE = 2.0**-53  # series stops at a term this small relative to the sum
 _TAYLOR_TERM_CAP = 128  # unreachable for scaled norm <= 0.5; guards the loop
 _MAX_SQUARINGS = 32  # inputs needing more are refused with OverflowError
 
@@ -68,28 +77,28 @@ def _pack(source: InfluenceMatrix | None, values: np.ndarray, kind: MatrixKind):
     return source.with_values(values, kind)
 
 
-def matrix_exponential(m) -> np.ndarray:
-    """Dense ``exp(m)`` by scaling and squaring with a truncated power series.
+def _check_lambda(lam) -> None:
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
 
-    The matrix is scaled by ``2**s`` so its 1-norm is at most 0.5, the
-    series is summed until a term falls below ``_TAYLOR_TOLERANCE`` times the
-    dominant entry of the partial sum, and the result is squared ``s``
-    times.
 
-    Raises
-    ------
-    DimensionMismatchError
-        If ``m`` is not square.
-    ConvergenceError
-        If the series has not converged after ``_TAYLOR_TERM_CAP`` terms.
-    OverflowError
-        If the required scaling exceeds ``_MAX_SQUARINGS`` or the result
-        leaves the representable range.
+def _damped_expm1(a: np.ndarray, s: float) -> np.ndarray:
+    """``e**-s * (exp(a) - I)`` by scaling and squaring, for a square array ``a``.
+
+    ``a`` is scaled by ``2**k`` so its 1-norm is at most 0.5.  The series
+    ``x + x**2/2! + ...`` (``exp(x) - 1``, no constant term) is summed at
+    ``a / 2**k`` until a term falls below unit roundoff times the largest
+    entry of the sum, and the sum is multiplied by ``e**-c`` with
+    ``c = s / 2**k``.  Each of the ``k`` doublings applies
+    ``exp(2x) - 1 = (exp(x) - 1)**2 + 2*(exp(x) - 1)`` with the damping
+    folded in, ``G <- G @ G + 2*e**-c * G``, and doubles ``c``.
+
+    No identity enters the sum, so an entry that no path reaches stays
+    exactly zero, and the undamped ``exp(a)`` is never formed.
     """
-    a = _square_array(m)
     n = a.shape[0]
     if n == 0:
-        return np.identity(0)
+        return np.zeros((0, 0))
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of a non-finite matrix")
 
@@ -101,26 +110,53 @@ def matrix_exponential(m) -> np.ndarray:
         )
 
     scaled = a / 2.0**squarings
-    result = np.identity(n)
-    term = np.identity(n)
+    term = scaled
+    result = scaled.copy()
+    terms = 1
     with np.errstate(over="ignore", invalid="ignore"):  # overflow reported below
-        for k in range(1, _TAYLOR_TERM_CAP + 1):
-            term = term @ scaled / k
-            result = result + term
-            term_norm = np.abs(term).max()
-            if term_norm <= _TAYLOR_TOLERANCE * max(1.0, np.abs(result).max()):
-                break
-        else:
-            raise ConvergenceError(
-                f"Taylor series not converged after {_TAYLOR_TERM_CAP} terms "
-                f"(last term norm {term_norm:.3g})"
-            )
+        while (term_norm := np.abs(term).max()) > _SERIES_TOLERANCE * np.abs(result).max():
+            if terms == _TAYLOR_TERM_CAP:
+                raise ConvergenceError(
+                    f"Taylor series not converged after {terms} terms "
+                    f"(last term norm {term_norm:.3g})"
+                )
+            terms += 1
+            term = term @ scaled
+            term /= terms
+            result += term
+        c = s / 2.0**squarings
+        result *= math.exp(-c)
+        square = np.empty_like(result)  # reused, so the doublings allocate nothing
         for _ in range(squarings):
-            result = result @ result
+            np.matmul(result, result, out=square)
+            result *= 2.0 * math.exp(-c)
+            result += square
+            c *= 2.0
 
     if not np.all(np.isfinite(result)):
         raise OverflowError("matrix exponential overflowed the floating-point range")
     return result
+
+
+def matrix_exponential(m) -> np.ndarray:
+    """Dense ``exp(m)``: the shared kernel's ``exp(m) - I``, plus ``I``.
+
+    Errors are relative to ``max(1, ||exp(m)||)``, so entries far below 1
+    (from a strongly negative spectrum) are accurate in absolute terms only.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If ``m`` is not square.
+    ConvergenceError
+        If the series has not converged after ``_TAYLOR_TERM_CAP`` terms.
+    OverflowError
+        If the required scaling exceeds ``_MAX_SQUARINGS`` or the result
+        leaves the representable range.
+    """
+    out = _damped_expm1(_square_array(m), 0.0)
+    out.flat[:: len(out) + 1] += 1.0
+    return out
 
 
 def pwp(direct, lam: float = 1.0):
@@ -131,12 +167,15 @@ def pwp(direct, lam: float = 1.0):
     ``exp(lam) - 1``.  A directed path of any length from ``b`` to ``a``
     makes the output entry ``[a, b]`` positive, and as ``lam -> 0`` the
     output approaches ``D`` itself.
+
+    Computed as ``e**-lam * (exp(lam*D) - I) / (1 - e**-lam)``, which never
+    forms ``e**lam``; defined for finite ``lam > 0`` with ``lam * ||D||_1 <= 2**31``.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_lambda(lam)
     values, source = _unpack(direct)
-    numerator = matrix_exponential(lam * values) - np.identity(values.shape[0])
-    out = numerator / math.expm1(lam)
+    values *= lam  # a private copy: scaling in place saves one n x n array
+    out = _damped_expm1(values, lam)
+    out /= -math.expm1(-lam)
     return _pack(source, out, MatrixKind.indirect("pwp", **{"lambda": lam}))
 
 
@@ -227,11 +266,16 @@ def pagerank_limit(
 
 
 def heat_kernel(direct, lam: float = 1.0):
-    """Indirect influences as ``exp(lam*(D - I))``."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    """Indirect influences as ``exp(lam*(D - I))``.
+
+    Computed as ``e**-lam * (exp(lam*D) - I) + e**-lam * I``, with no shift
+    of ``D``; defined for finite ``lam > 0`` with ``lam * ||D||_1 <= 2**31``.
+    """
+    _check_lambda(lam)
     values, source = _unpack(direct)
-    out = matrix_exponential(lam * (values - np.identity(values.shape[0])))
+    values *= lam
+    out = _damped_expm1(values, lam)
+    out.flat[:: len(out) + 1] += math.exp(-lam)
     return _pack(source, out, MatrixKind.indirect("heatkernel", **{"lambda": lam}))
 
 
@@ -264,8 +308,8 @@ class MethodSpec:
             elif value is not None:
                 shown = "lambda" if name == "lam" else name
                 raise ValueError(f"parameter {shown} does not apply to {self.method}")
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if self.lam is not None:
+            _check_lambda(self.lam)
         if self.k is not None and (int(self.k) != self.k or self.k < 1):
             raise ValueError("k must be a positive integer")
         if self.p is not None and not 0 < self.p < 1:

@@ -72,12 +72,8 @@ def repeated(keys: np.ndarray) -> np.ndarray:
     return mask
 
 
-def invalid_amounts(values: np.ndarray | np.float64):
-    """True where an amount is not a finite, non-negative number (NaN included).
-
-    Takes an array or a NumPy scalar, never a Python float: on the Python
-    ``bool`` its comparisons would give, ``~`` is integer negation.
-    """
+def invalid_amounts(values: np.ndarray) -> np.ndarray:
+    """True where an amount is not a finite, non-negative number (NaN included)."""
     return ~((values >= 0) & (values < np.inf))
 
 
@@ -91,7 +87,7 @@ def checked_amount(value, subject: str, invalid: type[Exception] = ValueError) -
         number = float(value)
     except (TypeError, ValueError):
         raise invalid(f"{subject} is not a number: {value!r}") from None
-    if invalid_amounts(np.float64(number)):
+    if not 0 <= number < math.inf:
         if not math.isfinite(number):
             raise invalid(f"{subject} is not finite: {value!r}")
         raise NegativeAmountError(f"{subject} is negative: {value}")

@@ -128,6 +128,17 @@ class TestMatrixCommand:
         assert main(["matrix", *dataset_args(*triangle_files, out, "--method", method)]) == 0
         assert (out / f"indirect_trade_{method}.csv").exists()
 
+    @pytest.mark.parametrize("weight", ["trade", "offer"])
+    def test_pwp_at_large_lambda_writes_finite_values(self, tmp_path, uniform_files, weight):
+        # e**800 overflows a float; the written matrix must not
+        out = tmp_path / "out"
+        argv = dataset_args(*uniform_files, out, "--weight", weight, "--lambda", "800")
+        assert main(["matrix", *argv]) == 0
+        values = read_matrix_csv(out / f"indirect_{weight}_pwp.csv").values
+        assert np.isfinite(values).all() and (values > 0).all()
+        if weight == "trade":  # every trade-share row sums to 1, and so does pwp's
+            assert np.abs(values.sum(axis=1) - 1.0).max() < 1e-11
+
     def test_region_subsets(self, tmp_path, triangle_files):
         out = tmp_path / "out"
         args = dataset_args(*triangle_files, out, "--region", "CUB,USA")
@@ -294,13 +305,16 @@ class TestExportDot:
         main(["export-dot", *dataset_args(*us_china_files, out, "--min-weight", "0.5")])
         assert "->" not in (out / "network_trade.dot").read_text()
 
-    def test_operator_options_do_not_run_the_engine(self, tmp_path, us_china_files):
-        # pwp at lambda=800 overflows, but export-dot never applies the method
+    def test_operator_options_do_not_run_the_engine(self, tmp_path, us_china_files, capsys):
+        # lambda=1e12 needs more squarings than the engine allows, but
+        # export-dot never applies the method
         out = tmp_path / "out"
-        argv = dataset_args(*us_china_files, out, "--method", "pwp", "--lambda", "800")
+        argv = dataset_args(*us_china_files, out, "--method", "pwp", "--lambda", "1e12")
         assert main(["export-dot", *argv]) == 0
         assert "->" in (out / "network_trade.dot").read_text()
+        capsys.readouterr()
         assert main(["matrix", *argv]) == 1
+        assert "[engine]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threshold", [0.0, 0.01, 0.05])
     def test_edge_count_matches_entry_count(self, tmp_path, triangle_network, threshold):
@@ -378,3 +392,15 @@ class TestContract:
                 "--method", "pwp", "--k", "4",  # k does not apply to pwp
             ])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("method", ["pwp", "heatkernel"])
+    @pytest.mark.parametrize("lam", ["-1", "0", "nan", "inf"])
+    def test_lambda_outside_positive_finite_is_a_usage_error(
+        self, tmp_path, us_china_files, capsys, method, lam
+    ):
+        argv = dataset_args(*us_china_files, tmp_path / "out", "--method", method, "--lambda", lam)
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix", *argv])
+        assert exc.value.code == 2
+        assert "lambda must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

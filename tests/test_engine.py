@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from tradenet import (
     InfluenceMatrix,
@@ -25,14 +28,40 @@ from tradenet.errors import (
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
-def taylor_exponential(a, terms=30):
-    """Independent oracle: direct series summation, no scaling."""
-    acc = np.identity(a.shape[0])
-    term = np.identity(a.shape[0])
-    for k in range(1, terms + 1):
-        term = term @ a / k
-        acc = acc + term
-    return acc
+def heat_kernel_oracle(d, lam):
+    """``exp(lam*(D - I))`` by scipy's Pade scaling and squaring."""
+    return expm(lam * (d - np.identity(len(d))))
+
+
+def pwp_oracle(d, lam):
+    """``(exp(lam*D) - I) / (e**lam - 1)`` by scipy, free of cancellation and overflow.
+
+    ``e**-lam * (exp(lam*D) - I) = lam*D @ F`` with
+    ``F = integral_0^1 e**-(1-t)*lam * exp(t*lam*(D - I)) dt``, the upper right
+    block of ``expm([[-lam*I, I], [0, lam*(D - I)]])`` (Van Loan, IEEE Trans.
+    Automat. Control 23(3), 1978).
+    """
+    n = len(d)
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -lam * np.identity(n)
+    block[:n, n:] = np.identity(n)
+    block[n:, n:] = lam * (d - np.identity(n))
+    return lam * d @ expm(block)[:n, n:] / -math.expm1(-lam)
+
+
+def sparse_direct(rng, n, weight, zero_rows=0.1, zero_cols=0.1):
+    """A non-negative direct matrix with zero rows and zero columns.
+
+    ``trade`` rows sum to 1 and ``offer`` rows to a share in [0.05, 0.5], as
+    the two weights give; zero rows stay zero.
+    """
+    d = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < min(1.0, 20 / n))
+    np.fill_diagonal(d, 0.0)
+    d[:, rng.uniform(size=n) < zero_cols] = 0.0
+    d[rng.uniform(size=n) < zero_rows] = 0.0
+    sums = d.sum(axis=1, keepdims=True)
+    share = 1.0 if weight == "trade" else rng.uniform(0.05, 0.5, (n, 1))
+    return np.divide(d * share, sums, out=np.zeros_like(d), where=sums > 0)
 
 
 def reachable(adjacency):
@@ -61,12 +90,12 @@ class TestMatrixExponential:
         # N^2 = 0 so exp(N) = I + N exactly
         assert np.array_equal(matrix_exponential(NILPOTENT), np.identity(2) + NILPOTENT)
 
-    def test_matches_series_oracle(self):
+    def test_matches_scipy_expm(self):
         rng = np.random.default_rng(12)
         worst = 0.0
         for _ in range(100):
             a = rng.uniform(size=(5, 5))
-            diff = np.abs(matrix_exponential(a) - taylor_exponential(a)).max()
+            diff = np.abs(matrix_exponential(a) - expm(a)).max()
             worst = max(worst, diff)
         assert worst < 1e-10
 
@@ -142,9 +171,29 @@ class TestPwp:
             out = pwp(d, 1.0)
             assert np.array_equal(out > 0, reachable(d > 0))
 
-    def test_rejects_nonpositive_lambda(self):
-        with pytest.raises(ValueError):
-            pwp(np.zeros((2, 2)), 0.0)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20),
+        weight=st.floats(0.01, 1.0),
+        lam=st.floats(1.0, 1000.0),
+    )
+    def test_zero_pattern_is_reachability_up_to_large_lambda(self, n, edges, weight, lam):
+        # unit self-influence keeps e**-lam * exp(lam*D) of order one, so every
+        # reachable entry is representable at lam=1000; off-diagonal row sums
+        # stay at most 0.5, so none overflows
+        d = np.identity(n)
+        for source, target in edges:
+            if source < n and target < n and source != target:
+                d[target, source] = weight / (2 * n)
+        out = pwp(d, lam)
+        assert np.isfinite(out).all()
+        assert np.array_equal(out > 0, reachable(d > 0))
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_lambda_outside_positive_finite(self, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            pwp(np.zeros((2, 2)), lam)
 
     def test_wraps_influence_matrix(self):
         m = InfluenceMatrix(("AAA", "BBB"), NILPOTENT, MatrixKind.direct_trade())
@@ -274,15 +323,41 @@ class TestHeatKernel:
             factored = math.exp(-lam) * matrix_exponential(lam * d)
             assert np.abs(direct - factored).max() < 1e-10
 
-    def test_rejects_nonpositive_lambda(self):
-        with pytest.raises(ValueError):
-            heat_kernel(np.zeros((2, 2)), -1.0)
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_lambda_outside_positive_finite(self, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            heat_kernel(np.zeros((2, 2)), lam)
 
     def test_keeps_labels(self):
         m = InfluenceMatrix(("AAA", "BBB"), NILPOTENT, MatrixKind.direct_trade())
         out = heat_kernel(m, 0.5)
         assert out.labels == m.labels
         assert dict(out.kind.params)["lambda"] == 0.5
+
+
+class TestScipyOracles:
+    """pwp and heat_kernel against scipy's Pade exponential, on matrices with
+    zero rows and zero columns, from lambda near 0 to lambda far past e**lam's range."""
+
+    LAMBDAS = [1e-8, 1.0, 8.0, 800.0]
+
+    @pytest.mark.parametrize("n", [12, 300])
+    @pytest.mark.parametrize("weight", ["trade", "offer"])
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_pwp_and_heat_kernel_match(self, n, weight, lam):
+        d = sparse_direct(np.random.default_rng(n), n, weight)
+        assert not d.sum(axis=1).all() and not d.sum(axis=0).all()
+        for operator, oracle in ((pwp, pwp_oracle), (heat_kernel, heat_kernel_oracle)):
+            expected = oracle(d, lam)
+            error = np.abs(operator(d, lam) - expected).max() / np.abs(expected).max()
+            assert error <= 1e-11, (operator.__name__, error)
+
+    def test_trade_row_sums_stay_one_at_large_lambda(self):
+        d = sparse_direct(np.random.default_rng(7), 300, "trade", zero_rows=0.0)
+        assert np.abs(d.sum(axis=1) - 1.0).max() < 1e-15
+        assert not d.sum(axis=0).all()
+        for operator in (pwp, heat_kernel):
+            assert np.abs(operator(d, 800.0).sum(axis=1) - 1.0).max() <= 1e-12
 
 
 class TestMethodSpec:
@@ -305,8 +380,11 @@ class TestMethodSpec:
             MethodSpec("eigen")
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            MethodSpec("pwp", lam=-1.0)
+        for lam in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda"):
+                MethodSpec("pwp", lam=lam)
+            with pytest.raises(ValueError, match="lambda"):
+                MethodSpec("heatkernel", lam=lam)
         with pytest.raises(ValueError):
             MethodSpec("micmac", k=0)
         with pytest.raises(ValueError):
