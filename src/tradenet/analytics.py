@@ -10,7 +10,11 @@ and splits into four sectors at the mean dependence and mean influence:
 3. low-influence independent (both at or below mean)
 4. low-influence dependent   (dependence above mean, influence at or below)
 
-Points exactly on a mean line fall on the low-influence / independent side.
+Points on a mean line fall on the low-influence / independent side.  A
+value counts as on the line when it is ``math.isclose`` to the mean with
+``rel_tol=1e-9``, so values equal to the mean in exact arithmetic (every
+PageRank influence; every dependence under full-coverage trade weights) do
+not split on rounding noise.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ __all__ = [
 ]
 
 CRITERIA = ("dependence", "influence", "connectedness")
+
+# a value within this relative distance of its mean lies on the mean line;
+# the tolerance the weights use for flow totals
+_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,34 +104,31 @@ def _degrees(m: InfluenceMatrix) -> tuple[np.ndarray, np.ndarray]:
     return m.values.sum(axis=1), m.values.sum(axis=0)
 
 
+def _above(values: np.ndarray, mean: float) -> np.ndarray:
+    # above the mean and not math.isclose to it with rel_tol=_TIE_RTOL
+    return values - mean > _TIE_RTOL * np.maximum(np.abs(values), abs(mean))
+
+
 def plane(m: InfluenceMatrix) -> list[PlanePoint]:
     """Locate every country on the dependence-influence plane.
 
     Returns points in label order, each tagged with its sector (1-4).
     """
     dep, inf = _degrees(m)
-    d_mean = float(dep.mean())
-    f_mean = float(inf.mean())
-    points = []
-    for i, code in enumerate(m.labels):
-        influential = inf[i] > f_mean
-        dependent = dep[i] > d_mean
-        if influential:
-            sector = 2 if dependent else 1
-        else:
-            sector = 4 if dependent else 3
-        points.append(PlanePoint(code, float(dep[i]), float(inf[i]), sector))
-    return points
+    dependent = _above(dep, float(dep.mean()))
+    sectors = np.where(_above(inf, float(inf.mean())), 1 + dependent, 3 + dependent)
+    return [
+        PlanePoint(code, float(d), float(f), int(sector))
+        for code, d, f, sector in zip(m.labels, dep, inf, sectors)
+    ]
 
 
 def _positions(values: np.ndarray) -> list[int]:
     # descending by value; ties broken by label position, which is
     # name-alphabetical for matrices built from a network
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    ranks = [0] * len(values)
-    for position, i in enumerate(order, start=1):
-        ranks[i] = position
-    return ranks
+    ranks = np.empty(len(values), dtype=np.intp)
+    ranks[np.argsort(-values, kind="stable")] = np.arange(1, len(values) + 1)
+    return ranks.tolist()
 
 
 def rank(m: InfluenceMatrix, criterion: str = "influence") -> RankingReport:

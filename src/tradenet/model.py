@@ -291,11 +291,17 @@ def build_network(
     Countries are sorted alphabetically by display name and flows by
     (reporter, partner) code, so the result is independent of input order.
 
+    A :class:`FlowTable` gets the checks :func:`~tradenet.ingestion.load_flows`
+    runs, since a table built directly is not checked when it is made.
+
     Raises
     ------
-    DuplicateCountryError, UnknownCountryError, DuplicateFlowError
-        Naming the first offending record.  Self-flows and bad amounts are
-        rejected when the records or the table are made.
+    DuplicateCountryError, UnknownCountryError, SelfFlowError, DuplicateFlowError
+        Naming the first offending record.  A flow row's checks run in this
+        order: indices within the table's codes, known codes, self-flow,
+        pair already seen on an earlier row, exports, imports.
+    NegativeAmountError, ValueError
+        For a negative or a non-finite amount, naming the pair.
     """
     countries = tuple(countries)
     codes = [c.code for c in countries]
@@ -314,18 +320,40 @@ def build_network(
     n = len(ordered)
     position = {c.code: i for i, c in enumerate(ordered)}
     table = flows if isinstance(flows, FlowTable) else FlowTable.from_records(flows)
-    lookup = np.array([position.get(code, -1) for code in table.codes], dtype=np.intp)
-    reporter, partner = lookup[table.reporter], lookup[table.partner]
-    fault = first_fault((reporter < 0) | (partner < 0), repeated(reporter * n + partner))
+    k = len(table.codes)
+    columns = (table.reporter, table.partner)
+    outside = (np.minimum(*columns) < 0) | (np.maximum(*columns) >= k)
+    # a row with an index outside the table's codes reads the trailing -1
+    lookup = np.array([position.get(code, -1) for code in table.codes] + [-1], dtype=np.intp)
+    reporter, partner = (lookup[np.where(outside, k, column)] for column in columns)
+    fault = first_fault(
+        outside,
+        (reporter < 0) | (partner < 0),
+        reporter == partner,
+        repeated(reporter * n + partner),
+        invalid_amounts(table.exports),
+        invalid_amounts(table.imports),
+    )
     if fault is not None:
         row, check = fault
-        pair = (table.codes[table.reporter[row]], table.codes[table.partner[row]])
         if check == 0:
+            raise UnknownCountryError(
+                f"flow row {row} has country indices ({table.reporter[row]}, "
+                f"{table.partner[row]}) outside the table's {k} codes"
+            )
+        pair = (table.codes[table.reporter[row]], table.codes[table.partner[row]])
+        if check == 1:
             missing = pair[0] if reporter[row] < 0 else pair[1]
             raise UnknownCountryError(
                 f"flow ({pair[0]}, {pair[1]}) references unknown country {missing}"
             )
-        raise DuplicateFlowError(f"duplicate flow record for pair {pair}")
+        if check == 2:
+            raise SelfFlowError(f"flow ({pair[0]}, {pair[1]}) is a self-flow")
+        if check == 3:
+            raise DuplicateFlowError(f"duplicate flow record for pair {pair}")
+        column = ("exports", "imports")[check - 4]
+        value = float(getattr(table, column)[row])
+        checked_amount(value, f"{column} of flow ({pair[0]}, {pair[1]})")
 
     code_rank = np.empty(n, dtype=np.intp)
     code_rank[sorted(range(n), key=lambda i: ordered[i].code)] = np.arange(n)

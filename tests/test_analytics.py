@@ -13,8 +13,10 @@ from tradenet import (
     MatrixKind,
     bidegree,
     build_network,
+    column_normalize,
     degree_stats,
     normalized_increment,
+    pagerank_limit,
     pair_connectedness,
     plane,
     pwp,
@@ -71,6 +73,25 @@ class TestPlane:
         assert points["C2X"].sector == 1
         assert points["C0X"].sector == 4
         assert points["C1X"].sector == 4
+
+    def test_pagerank_influences_sit_on_the_mean(self):
+        # rank-one output: every influence is the stationary vector's sum, 1,
+        # so no country is influential, whatever the rounding of the sums
+        rng = np.random.default_rng(73)
+        raw = rng.uniform(size=(150, 150)) * (rng.uniform(size=(150, 150)) < 0.1)
+        np.fill_diagonal(raw, 0.0)
+        points = plane(labelled(pagerank_limit(column_normalize(raw))))
+        assert {p.sector for p in points} == {3, 4}
+
+    def test_full_coverage_trade_dependences_sit_on_the_mean(self):
+        # every trade-share row sums to 1, and pwp keeps the row sums, so no
+        # country is dependent, whatever the rounding of the sums
+        rng = np.random.default_rng(74)
+        d = rng.uniform(size=(150, 150)) * (rng.uniform(size=(150, 150)) < 0.1)
+        np.fill_diagonal(d, 0.0)
+        d /= d.sum(axis=1, keepdims=True)
+        points = plane(labelled(pwp(d, 1.0)))
+        assert {p.sector for p in points} == {1, 3}
 
     def test_sectors_partition(self):
         rng = np.random.default_rng(71)

@@ -197,6 +197,22 @@ class TestRankCommand:
             "ranking_indirect_trade_pagerank_influence.csv",
         )]
 
+    def test_pagerank_near_one_on_slow_mixing_cycle(self, tmp_path):
+        # country i trades with i-1, 0 with 199, and 100 also with 0: a 200-cycle
+        # with one chord, which mixes slowly at p near 1
+        n = 200
+        countries = [CountryRecord(f"{i:03d}", f"Land {i:03d}", 10.0, 1.0, 1.0) for i in range(n)]
+        pairs = [(i, i - 1) for i in range(1, n)] + [(0, n - 1), (n // 2, 0)]
+        flows = [BilateralFlow(f"{r:03d}", f"{p:03d}", 1.0, 1.0) for r, p in pairs]
+        files = write_dataset(tmp_path, build_network(countries, flows))
+        out = tmp_path / "out"
+        argv = dataset_args(*files, out, "--method", "pagerank", "--p", "0.999")
+        assert main(["rank", *argv]) == 0
+        with open(out / "ranking_indirect_trade_pagerank_influence.csv") as handle:
+            rows = list(csv.DictReader(handle))
+        # a rank-one output: every country's influence is the vector's sum, 1
+        assert len(rows) == n and {row["value"] for row in rows} == {"1"}
+
 
 class TestPlaneCommand:
     def test_uniform_network_all_sector_three(self, tmp_path, uniform_files):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 from tradenet import (
     InfluenceMatrix,
@@ -47,6 +47,28 @@ def pwp_oracle(d, lam):
     block[:n, n:] = np.identity(n)
     block[n:, n:] = lam * (d - np.identity(n))
     return lam * d @ expm(block)[:n, n:] / -math.expm1(-lam)
+
+
+def pagerank_oracle(d, p):
+    """Stationary vector as the null vector of ``p*Dbar + (1-p)/n - I`` (by SVD), summing to 1."""
+    n = len(d)
+    dbar = d.copy()
+    dbar[:, d.sum(axis=0) == 0] = 1.0 / n
+    v = null_space(p * dbar + (1 - p) / n - np.identity(n))[:, 0]
+    return v / v.sum()
+
+
+def cycle_with_chord(n=200):
+    """Column-stochastic cycle ``i -> i+1``, ``n-1 -> 0``, plus ``0 -> n/2``.
+
+    Node 0 splits its out-links evenly.  Power iteration mixes slowly here:
+    at ``p = 0.999`` it needs far more than 10,000 steps.
+    """
+    d = np.zeros((n, n))
+    d[np.arange(1, n), np.arange(n - 1)] = 1.0
+    d[0, n - 1] = 1.0
+    d[[1, n // 2], 0] = 0.5
+    return d
 
 
 def sparse_direct(rng, n, weight, zero_rows=0.1, zero_cols=0.1):
@@ -278,6 +300,18 @@ class TestPagerank:
             oracle = mixed @ oracle
         out = pagerank_limit(d, p=p)
         assert np.abs(out - oracle).max() < 1e-10
+
+    @pytest.mark.parametrize("p", [0.5, 0.86, 0.999])
+    @pytest.mark.parametrize("graph", ["random", "cycle"])
+    def test_matches_null_space_oracle(self, graph, p):
+        if graph == "random":  # n=300, with zero columns
+            d = column_normalize(sparse_direct(np.random.default_rng(300), 300, "trade"))
+            assert not d.sum(axis=0).all()
+        else:
+            d = cycle_with_chord()
+        expected = pagerank_oracle(d, p)
+        out = pagerank_limit(d, p)
+        assert np.abs(out / expected[:, None] - 1.0).max() <= 1e-12
 
     def test_output_is_rank_one_and_column_stochastic(self):
         rng = np.random.default_rng(51)

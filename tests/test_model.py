@@ -4,6 +4,7 @@ import pytest
 from tradenet import (
     BilateralFlow,
     CountryRecord,
+    FlowTable,
     InfluenceMatrix,
     MatrixKind,
     bidegree,
@@ -81,6 +82,23 @@ class TestBuildNetwork:
         flows = [BilateralFlow("AAA", "BBB", 1.0, 1.0), BilateralFlow("AAA", "BBB", 2.0, 2.0)]
         with pytest.raises(DuplicateFlowError):
             build_network(make_countries(), flows)
+
+    @pytest.mark.parametrize(
+        ("reporter", "partner", "exports", "error", "message"),
+        [
+            (0, 0, 1.0, SelfFlowError, r"flow \(AAA, AAA\) is a self-flow"),
+            (0, 1, -3.0, NegativeAmountError, r"exports of flow \(AAA, BBB\) is negative"),
+            (0, 1, float("nan"), ValueError, r"exports of flow \(AAA, BBB\) is not finite"),
+            (0, -1, 1.0, UnknownCountryError, r"indices \(0, -1\) outside the table's 2 codes"),
+            (0, 5, 1.0, UnknownCountryError, r"indices \(0, 5\) outside the table's 2 codes"),
+        ],
+        ids=["self-flow", "negative", "nan", "index-minus-one", "index-past-end"],
+    )
+    def test_table_built_directly_is_checked(self, reporter, partner, exports, error, message):
+        # a FlowTable is not checked when it is made; build_network checks it
+        table = FlowTable(("AAA", "BBB"), [reporter], [partner], [exports], [1.0])
+        with pytest.raises(error, match=message):
+            build_network(make_countries()[:2], table)
 
     def test_order_insensitive(self):
         countries = make_countries()
