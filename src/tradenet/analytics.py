@@ -232,12 +232,11 @@ def degree_stats(network: TradeNetwork) -> tuple[float, dict[str, int]]:
     """Average partner count and the per-country counts.
 
     A partner of ``A`` is any distinct country appearing with ``A`` on a
-    positive-total flow record, in either role.
+    flow record, in either role.
     """
     flows = network.flows
-    positive = flows.totals > 0
     linked = np.zeros((network.n, network.n), dtype=bool)
-    linked[flows.reporter[positive], flows.partner[positive]] = True
+    linked[flows.reporter, flows.partner] = True
     linked |= linked.T
     counts = dict(zip(network.codes, linked.sum(axis=1).tolist()))
     average = sum(counts.values()) / len(counts) if counts else 0.0

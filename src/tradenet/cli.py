@@ -8,9 +8,19 @@ Subcommands
 * ``compare``    print the distance between two ranking files
 * ``export-dot`` write the direct network as a DOT digraph
 
-Exit codes: 0 success, 1 data or validation error (diagnostic names the
-failing stage), 2 usage error.  All outputs are deterministic: rerunning a
-command with identical inputs produces byte-identical files.
+:func:`main` runs every dataset command as one pipeline: parse the
+arguments, check their usage, read the dataset (stage ``ingestion``), build
+the direct matrix (``weights``), run the command's indirect operator
+(``engine``) and rankings or plane (``analytics``), then write every file
+(``io``).  ``compare`` reads two ranking files (``ingestion``) and prints
+their distance (``analytics``).
+
+Exit codes: 0 success, 1 data or validation error (the diagnostic
+``error [stage] ...`` names the failing stage), 2 usage error, including an
+empty ``--countries`` or ``--flows`` path.  A warning about the data, such as
+flows that do not sum to the declared totals, is one stderr line,
+``ConsistencyWarning: <message>``.  All outputs are deterministic: rerunning
+a command with identical inputs produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,8 +29,8 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,49 +42,21 @@ from .ingestion import DatasetManifest, load_network
 from .model import InfluenceMatrix, MatrixKind, TradeNetwork
 from .weights import WeightKind, build_direct_matrix
 
-__all__ = [
-    "RunConfig",
-    "ComparisonReport",
-    "cmd_matrix",
-    "cmd_rank",
-    "cmd_plane",
-    "cmd_compare",
-    "cmd_export_dot",
-    "write_matrix_csv",
-    "read_matrix_csv",
-    "main",
-]
+__all__ = ["write_matrix_csv", "read_matrix_csv", "main"]
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one pipeline invocation needs."""
-
-    manifest: DatasetManifest
-    weight: WeightKind
-    method: MethodSpec
-    output_dir: Path
-    output_format: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"output format must be csv or json, got {self.output_format}")
-        object.__setattr__(self, "output_dir", Path(self.output_dir))
+# output file name -> function writing that file at the path it is given
+Writers = dict[str, Callable[[Path], None]]
 
 
 class StageFailure(Exception):
-    """A pipeline stage failed; carries the stage name for the diagnostic."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
-        self.cause = cause
+    """A pipeline stage failed; the message is ``[stage] cause``."""
 
 
 def _run_stage(stage: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except (TradeNetError, OSError, ValueError, OverflowError) as exc:
-        raise StageFailure(stage, exc) from exc
+        raise StageFailure(f"[{stage}] {exc}") from exc
 
 
 def _fmt(value: float) -> str:
@@ -142,59 +124,40 @@ def _read_ranking(path: Path) -> dict[str, int]:
         raise MalformedRowError(f"{path}: not a ranking file ({exc})") from None
 
 
-# --- pipeline stages -------------------------------------------------------
+# --- commands ----------------------------------------------------------------
+# Each takes the parsed arguments, the network, its direct matrix and the
+# MethodSpec, runs its own engine and analytics stages and returns its output
+# files; main writes them in the io stage.  write_matrix_csv is looked up when
+# a file is written, so a replacement installed on this module is called.
 
-def _network_and_direct(config: RunConfig) -> tuple[TradeNetwork, InfluenceMatrix]:
-    network = _run_stage("ingestion", load_network, config.manifest)
-    return network, _run_stage("weights", build_direct_matrix, network, config.weight)
-
-
-def _write_outputs(config: RunConfig, writers: dict[str, Callable[[Path], None]]) -> list[Path]:
-    """Create the output directory and run each file's writer, in the ``io`` stage."""
-    paths = {config.output_dir / name: write for name, write in writers.items()}
-
-    def write_all() -> None:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        for path, write in paths.items():
-            write(path)
-
-    _run_stage("io", write_all)
-    return list(paths)
+def _matrix(args, network, direct, method) -> Writers:
+    """``direct_<weight>.csv`` and ``indirect_<weight>_<method>.csv``."""
+    indirect = _run_stage("engine", method.apply, direct)
+    return {
+        f"direct_{args.weight}.csv": lambda path: write_matrix_csv(direct, path),
+        f"indirect_{args.weight}_{method.method}.csv":
+            lambda path: write_matrix_csv(indirect, path),
+    }
 
 
-# --- commands ---------------------------------------------------------------
-
-def cmd_matrix(config: RunConfig) -> list[Path]:
-    """Write ``direct_<weight>.csv`` and ``indirect_<weight>_<method>.csv``."""
-    _, direct = _network_and_direct(config)
-    indirect = _run_stage("engine", config.method.apply, direct)
-    weight, method = config.weight.value, config.method.method
-    return _write_outputs(config, {
-        f"direct_{weight}.csv": lambda path: write_matrix_csv(direct, path),
-        f"indirect_{weight}_{method}.csv": lambda path: write_matrix_csv(indirect, path),
-    })
-
-
-def cmd_rank(config: RunConfig, criterion: str = "influence") -> list[Path]:
-    """Write ranking tables for the direct and the indirect matrix."""
-    network, direct = _network_and_direct(config)
-    indirect = _run_stage("engine", config.method.apply, direct)
-    direct_report = _run_stage("engine", analytics.rank, direct, criterion)
-    indirect_report = _run_stage("engine", analytics.rank, indirect, criterion)
-    weight, method, ext = config.weight.value, config.method.method, config.output_format
-    return _write_outputs(config, {
+def _rank(args, network, direct, method) -> Writers:
+    """Ranking tables for the direct and the indirect matrix."""
+    indirect = _run_stage("engine", method.apply, direct)
+    direct_report = _run_stage("analytics", analytics.rank, direct, args.criterion)
+    indirect_report = _run_stage("analytics", analytics.rank, indirect, args.criterion)
+    weight, criterion, ext = args.weight, args.criterion, args.format
+    return {
         f"ranking_direct_{weight}_{criterion}.{ext}":
             lambda path: _write_ranking(direct_report, network, path, ext),
-        f"ranking_indirect_{weight}_{method}_{criterion}.{ext}":
+        f"ranking_indirect_{weight}_{method.method}_{criterion}.{ext}":
             lambda path: _write_ranking(indirect_report, network, path, ext),
-    })
+    }
 
 
-def cmd_plane(config: RunConfig) -> list[Path]:
-    """Write the dependence-influence plane of the indirect matrix."""
-    _, direct = _network_and_direct(config)
-    indirect = _run_stage("engine", config.method.apply, direct)
-    points = _run_stage("engine", analytics.plane, indirect)
+def _plane(args, network, direct, method) -> Writers:
+    """The dependence-influence plane of the indirect matrix."""
+    indirect = _run_stage("engine", method.apply, direct)
+    points = _run_stage("analytics", analytics.plane, indirect)
     d_mean = sum(p.dependence for p in points) / len(points)
     f_mean = sum(p.influence for p in points) / len(points)
 
@@ -208,43 +171,19 @@ def cmd_plane(config: RunConfig) -> list[Path]:
                     [point.code, _fmt(point.dependence), _fmt(point.influence), point.sector]
                 )
 
-    return _write_outputs(config, {f"plane_{config.weight.value}_{config.method.method}.csv": write})
+    return {f"plane_{args.weight}_{method.method}.csv": write}
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    distance: float
-    deltas: tuple[tuple[str, int, int, int], ...]  # (code, rank_a, rank_b, b - a)
-
-    def lines(self) -> list[str]:
-        out = [f"distance: {_fmt(self.distance)}"]
-        out += [f"{code}: {a} -> {b} ({b - a:+d})" for code, a, b, _ in self.deltas]
-        return out
-
-
-def cmd_compare(ranking_a: Path, ranking_b: Path) -> ComparisonReport:
-    """Distance between two complete rankings plus per-country deltas."""
-    first = _run_stage("ingestion", _read_ranking, Path(ranking_a))
-    second = _run_stage("ingestion", _read_ranking, Path(ranking_b))
-    distance = _run_stage("analytics", analytics.ranking_distance, first, second)
-    deltas = sorted(
-        ((code, first[code], second[code], second[code] - first[code]) for code in first),
-        key=lambda item: (-abs(item[3]), item[0]),
-    )
-    return ComparisonReport(distance, tuple(deltas))
-
-
-def cmd_export_dot(config: RunConfig, min_weight: float = 0.0) -> list[Path]:
-    """Write the direct network as a DOT digraph; the engine does not run.
+def _export_dot(args, network, direct, method) -> Writers:
+    """The direct network as a DOT digraph; the engine does not run.
 
     One node per country; one edge per nonzero direct entry at or above
-    ``min_weight``, oriented influencer -> influenced and carrying the
+    ``--min-weight``, oriented influencer -> influenced and carrying the
     entry as its ``weight`` attribute.  Nodes and edges are emitted in
     alphabetical order.
     """
-    _, direct = _network_and_direct(config)
     labels, values = direct.labels, direct.values
-    targets, sources = np.nonzero((values != 0) & (values >= min_weight))
+    targets, sources = np.nonzero((values != 0) & (values >= args.min_weight))
     edges = sorted(
         (labels[j], labels[i], values[i, j]) for i, j in zip(targets.tolist(), sources.tolist())
     )
@@ -258,7 +197,25 @@ def cmd_export_dot(config: RunConfig, min_weight: float = 0.0) -> list[Path]:
                 handle.write(f'  "{source}" -> "{target}" [weight={_fmt(value)}];\n')
             handle.write("}\n")
 
-    return _write_outputs(config, {f"network_{config.weight.value}.dot": write})
+    return {f"network_{args.weight}.dot": write}
+
+
+COMMANDS = {"matrix": _matrix, "rank": _rank, "plane": _plane, "export-dot": _export_dot}
+
+
+def _compare(ranking_a: Path, ranking_b: Path) -> list[str]:
+    """Distance between two complete rankings, then each country's rank change.
+
+    Countries are listed by largest change first, ties by code.
+    """
+    first = _run_stage("ingestion", _read_ranking, ranking_a)
+    second = _run_stage("ingestion", _read_ranking, ranking_b)
+    distance = _run_stage("analytics", analytics.ranking_distance, first, second)
+    codes = sorted(first, key=lambda code: (-abs(second[code] - first[code]), code))
+    return [f"distance: {_fmt(distance)}"] + [
+        f"{code}: {first[code]} -> {second[code]} ({second[code] - first[code]:+d})"
+        for code in codes
+    ]
 
 
 # --- argument parsing --------------------------------------------------------
@@ -306,50 +263,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    region = None
-    if args.region:
-        region = tuple(code.strip() for code in args.region.split(",") if code.strip())
-    manifest = DatasetManifest(
-        countries_path=args.countries, flows_path=args.flows, region_filter=region
-    )
-    try:
-        method = MethodSpec(args.method, lam=args.lam, k=args.k, p=args.p)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return RunConfig(
-        manifest=manifest,
-        weight=WeightKind(args.weight),
-        method=method,
-        output_dir=Path(args.out),
-        output_format=args.format,
-    )
+def _show_warning(message, category, *_) -> None:
+    print(f"{category.__name__}: {message}", file=sys.stderr)
+
+
+def _write_files(out: Path, writers: Writers) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in writers.items():
+        write(out / name)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "compare":
-            report = cmd_compare(Path(args.ranking_a), Path(args.ranking_b))
-            for line in report.lines():
-                print(line)
-            return 0
-        config = _config_from_args(parser, args)
-        if args.command == "rank":
-            written = cmd_rank(config, args.criterion)
-        elif args.command == "export-dot":
-            written = cmd_export_dot(config, args.min_weight)
-        elif args.command == "plane":
-            written = cmd_plane(config)
-        else:
-            written = cmd_matrix(config)
-        for path in written:
-            print(f"wrote {path}")
-        return 0
-    except StageFailure as failure:
-        print(f"error {failure}", file=sys.stderr)
-        return 1
+    if args.command != "compare":
+        try:
+            method = MethodSpec(args.method, lam=args.lam, k=args.k, p=args.p)
+            region = None
+            if args.region:
+                region = tuple(code.strip() for code in args.region.split(",") if code.strip())
+            manifest = DatasetManifest(args.countries, args.flows, region)
+        except ValueError as exc:
+            parser.error(str(exc))
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            if args.command == "compare":
+                lines = _compare(Path(args.ranking_a), Path(args.ranking_b))
+            else:
+                network = _run_stage("ingestion", load_network, manifest)
+                weight = WeightKind(args.weight)
+                direct = _run_stage("weights", build_direct_matrix, network, weight)
+                writers = COMMANDS[args.command](args, network, direct, method)
+                out = Path(args.out)
+                _run_stage("io", _write_files, out, writers)
+                lines = [f"wrote {out / name}" for name in writers]
+        except StageFailure as failure:
+            print(f"error {failure}", file=sys.stderr)
+            return 1
+    for line in lines:
+        print(line)
+    return 0
 
 
 def entrypoint() -> None:

@@ -84,6 +84,16 @@ def _check_lambda(lam) -> None:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
 
 
+def _check_k(k) -> None:
+    if not (1 <= k < math.inf and k == int(k)):
+        raise ValueError(f"k must be a positive integer, got {k}")
+
+
+def _check_p(p) -> None:
+    if not 0 < p < 1:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+
+
 def _damped_expm1(a: np.ndarray, s: float) -> np.ndarray:
     """``e**-s * (exp(a) - I)`` by scaling and squaring, for a square array ``a``.
 
@@ -183,8 +193,7 @@ def pwp(direct, lam: float = 1.0):
 
 def micmac(direct, k: int = 4):
     """Indirect influences as the ``k``-th matrix power: paths of length ``k``."""
-    if int(k) != k or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _check_k(k)
     values, source = _unpack(direct)
     out = np.linalg.matrix_power(values, int(k))
     return _pack(source, out, MatrixKind.indirect("micmac", k=k))
@@ -226,8 +235,7 @@ def pagerank_limit(direct, p: float = 0.86):
         If a column sum is neither 0 nor 1 (within 1e-9); raw trade or
         offer matrices must go through :func:`column_normalize` first.
     """
-    if not 0 < p < 1:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
+    _check_p(p)
     values, source = _unpack(direct)
     kind = MatrixKind.indirect("pagerank", p=p)
     n = values.shape[0]
@@ -296,12 +304,8 @@ class MethodSpec:
             elif value is not None:
                 shown = "lambda" if name == "lam" else name
                 raise ValueError(f"parameter {shown} does not apply to {self.method}")
-        if self.lam is not None:
-            _check_lambda(self.lam)
-        if self.k is not None and (int(self.k) != self.k or self.k < 1):
-            raise ValueError("k must be a positive integer")
-        if self.p is not None and not 0 < self.p < 1:
-            raise ValueError("p must lie in (0, 1)")
+        check = {"lam": _check_lambda, "k": _check_k, "p": _check_p}[relevant]
+        check(getattr(self, relevant))
 
     def apply(self, direct):
         """Run the chosen operator on a direct matrix.

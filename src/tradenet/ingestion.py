@@ -29,6 +29,7 @@ from .errors import (
     DuplicateFlowError,
     MalformedRowError,
     MissingColumnError,
+    NegativeAmountError,
     SelfFlowError,
 )
 from .model import (
@@ -119,36 +120,29 @@ def _floats(cells) -> np.ndarray:
 
 
 def load_countries(path: str | Path) -> list[CountryRecord]:
-    """Parse a countries CSV into records, preserving file order."""
-    lines: list[int] = []
-    fields: list[list[str]] = []
-    pending = None
-    try:
-        for block_lines, cells in _blocks(path, COUNTRY_COLUMNS):
-            lines += block_lines
-            fields += [[cell.strip() for cell in row] for row in zip(*cells)]
-    except MalformedRowError as exc:
-        pending = exc
-    codes = np.array([row[0] for row in fields], dtype=object)
-    amounts = [_floats([row[k] for row in fields]) for k in range(2, len(COUNTRY_COLUMNS))]
-    fault = first_fault(repeated(codes), *map(invalid_amounts, amounts))
-    # rows before the first fault may still hold a bad code or name
+    """Parse a countries CSV into records, preserving file order.
+
+    Raises the error of the first faulty line.  Within a line the checks
+    run in this order: field count, code already seen on an earlier line,
+    then :class:`~tradenet.model.CountryRecord`'s own (gdp, total_exports,
+    total_imports, code, name).
+    """
     records: list[CountryRecord] = []
-    for i in range(len(fields) if fault is None else fault[0]):
-        try:
-            records.append(CountryRecord(fields[i][0], fields[i][1], *(a[i] for a in amounts)))
-        except ValueError as exc:
-            raise MalformedRowError(f"{path}:{lines[i]}: {exc}") from None
-    if fault is not None:
-        row, check = fault
-        where = f"{path}:{lines[row]}"
-        if check == 0:
-            first = lines[int(np.flatnonzero(codes == codes[row])[0])]
-            raise DuplicateCountryError(f"{where}: code {codes[row]} already defined on line {first}")
-        column = COUNTRY_COLUMNS[check + 1]
-        checked_amount(fields[row][check + 1], f"{where}: {column}", MalformedRowError)
-    if pending is not None:
-        raise pending
+    seen: dict[str, int] = {}  # code -> line defining it
+    for lines, cells in _blocks(path, COUNTRY_COLUMNS):
+        for line, row in zip(lines, zip(*cells)):
+            code, name, *amounts = (cell.strip() for cell in row)
+            where = f"{path}:{line}"
+            if code in seen:
+                first = seen[code]
+                raise DuplicateCountryError(f"{where}: code {code} already defined on line {first}")
+            seen[code] = line
+            try:
+                records.append(CountryRecord(code, name, *amounts))
+            except NegativeAmountError as exc:
+                raise NegativeAmountError(f"{where}: {exc}") from None
+            except ValueError as exc:
+                raise MalformedRowError(f"{where}: {exc}") from None
     return records
 
 

@@ -110,13 +110,13 @@ class CountryRecord:
     total_imports: float
 
     def __post_init__(self) -> None:
+        for attr in ("gdp", "total_exports", "total_imports"):
+            value = checked_amount(getattr(self, attr), f"{attr} of {self.code}")
+            object.__setattr__(self, attr, value)
         if not _CODE_RE.fullmatch(self.code):
             raise ValueError(f"country code must be 2-3 uppercase chars, got {self.code!r}")
         if not self.name:
             raise ValueError(f"country {self.code} has an empty name")
-        for attr in ("gdp", "total_exports", "total_imports"):
-            value = checked_amount(getattr(self, attr), f"{attr} of {self.code}")
-            object.__setattr__(self, attr, value)
 
     @property
     def total_trade(self) -> float:
@@ -290,6 +290,8 @@ def build_network(
 
     Countries are sorted alphabetically by display name and flows by
     (reporter, partner) code, so the result is independent of input order.
+    Flow rows recording zero trade both ways are dropped after the checks,
+    as :func:`~tradenet.ingestion.load_flows` drops them from a file.
 
     A :class:`FlowTable` gets the checks :func:`~tradenet.ingestion.load_flows`
     runs, since a table built directly is not checked when it is made.
@@ -357,7 +359,8 @@ def build_network(
 
     code_rank = np.empty(n, dtype=np.intp)
     code_rank[sorted(range(n), key=lambda i: ordered[i].code)] = np.arange(n)
-    order = np.argsort(code_rank[reporter] * n + code_rank[partner])
+    rows = np.flatnonzero((table.exports != 0) | (table.imports != 0))
+    order = rows[np.argsort(code_rank[reporter[rows]] * n + code_rank[partner[rows]])]
     table = FlowTable(tuple(position), reporter, partner, table.exports, table.imports)
     return TradeNetwork(ordered, table.take(order))
 

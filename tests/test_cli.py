@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tradenet
 from tradenet import (
     BilateralFlow,
     CountryRecord,
@@ -396,6 +401,38 @@ class TestContract:
         blocker.write_text("not a directory")
         assert main(["matrix", *dataset_args(*us_china_files, blocker)]) == 1
         assert "[io]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("empty", ["--countries", "--flows"])
+    def test_empty_path_is_a_usage_error(self, tmp_path, us_china_files, capsys, empty):
+        argv = dataset_args(*us_china_files, tmp_path / "out")
+        argv[argv.index(empty) + 1] = ""
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix", *argv])
+        assert exc.value.code == 2
+        assert "manifest paths must be non-empty" in capsys.readouterr().err
+
+    def test_empty_dataset_fails_in_analytics_stage(self, tmp_path, capsys):
+        countries = tmp_path / "c.csv"
+        countries.write_text("code,name,gdp,total_exports,total_imports\n")
+        flows = tmp_path / "f.csv"
+        flows.write_text("reporter,partner,exports,imports\n")
+        assert main(["rank", *dataset_args(countries, flows, tmp_path / "out")]) == 1
+        assert "error [analytics] matrix has no countries" in capsys.readouterr().err
+
+    def test_module_entry_point_prints_warning_as_one_line(self, tmp_path, us_china_files):
+        # the pair's flows do not sum to its declared totals, so weights warn
+        src = str(Path(tradenet.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        argv = ["rank", *dataset_args(*us_china_files, tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "tradenet.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = [line for line in proc.stderr.splitlines() if "flows of" in line]
+        assert len(lines) == 1 and lines[0].startswith("ConsistencyWarning: flows of")
+        assert "cli.py" not in proc.stderr
+        assert "return fn(" not in proc.stderr
 
     def test_usage_errors_exit_two(self, us_china_files):
         countries, flows = us_china_files

@@ -424,6 +424,19 @@ class TestMethodSpec:
         with pytest.raises(ValueError):
             MethodSpec("pagerank", p=1.5)
 
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [("k", 0), ("k", 2.5), ("k", math.nan), ("k", math.inf),
+         ("p", 0), ("p", 1), ("p", math.nan)],
+    )
+    def test_parameter_outside_domain_is_named(self, name, value):
+        method, operator = {"k": ("micmac", micmac), "p": ("pagerank", pagerank_limit)}[name]
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            operator(d, value)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            MethodSpec(method, **{name: value})
+
     def test_apply_dispatches(self):
         d = np.array([[0.0, 0.4], [0.3, 0.0]])
         assert np.array_equal(MethodSpec("pwp", lam=2.0).apply(d), pwp(d, 2.0))

@@ -194,6 +194,45 @@ class TestFlowFaultPrecedence:
             load_network(DatasetManifest(countries, flows))
 
 
+# first fault of a countries file: the earliest line wins; within a line,
+# field count, duplicate code, gdp, total_exports, total_imports, code, name.
+# Each case: rows, error, line, a fragment of the message naming the check.
+COUNTRY_FAULTS = {
+    "field count before later duplicate": (
+        ["AAA,Alpha,1,1,1", "BBB,Beta,1,1", "AAA,Alpha,1,1,1"], MalformedRowError, 3, "fields"),
+    "duplicate before later field count": (
+        ["AAA,Alpha,1,1,1", "AAA,Other,1,1,1", "BBB,Beta,1"], DuplicateCountryError, 3, "line 2"),
+    "bad code before later duplicate": (
+        ["aa,Alpha,1,1,1", "BBB,Beta,1,1,1", "BBB,Beta,1,1,1"], MalformedRowError, 2, "code"),
+    "negative before later bad code": (
+        ["AAA,Alpha,-1,1,1", "bb,Beta,1,1,1"], NegativeAmountError, 2, "gdp"),
+    "duplicate before negative on one line": (
+        ["AAA,Alpha,1,1,1", "AAA,Other,-1,1,1"], DuplicateCountryError, 3, "line 2"),
+    "gdp before total_exports": (["AAA,Alpha,abc,-1,1"], MalformedRowError, 2, "gdp"),
+    "total_exports before total_imports": (
+        ["AAA,Alpha,1,-1,abc"], NegativeAmountError, 2, "total_exports"),
+    "total_imports before code": (["aa,Alpha,1,1,nan"], MalformedRowError, 2, "total_imports"),
+    "code before name": (["aa,,1,1,1"], MalformedRowError, 2, "code"),
+    "empty name": (["AAA,Alpha,1,1,1", "BBB,,1,1,1"], MalformedRowError, 3, "name"),
+    "blank rows keep line numbers": (
+        ["AAA,Alpha,1,1,1", "", ",,,,", "AAA,Other,1,1,1"], DuplicateCountryError, 5, "line 2"),
+    "field count after duplicate across blocks": (
+        ["AAA,A,1,1,1", "BBB,B,1,1,1", "CCC,C,1,1,1", "AAA,D,1,1,1", "AAA"],
+        DuplicateCountryError, 5, "line 2"),
+}
+
+
+class TestCountryFaultPrecedence:
+    @pytest.mark.parametrize("block_rows", [2, ingestion._BLOCK_ROWS])
+    @pytest.mark.parametrize("case", sorted(COUNTRY_FAULTS))
+    def test_first_line_and_check_win(self, tmp_path, monkeypatch, case, block_rows):
+        monkeypatch.setattr(ingestion, "_BLOCK_ROWS", block_rows)
+        rows, error, line, fragment = COUNTRY_FAULTS[case]
+        path = write(tmp_path, "c.csv", COUNTRIES_HEADER + "\n".join(rows) + "\n")
+        with pytest.raises(error, match=rf"c\.csv:{line}: .*{fragment}"):
+            load_countries(path)
+
+
 class TestByteOrderMark:
     @pytest.mark.parametrize("prefixed", [("c.csv",), ("f.csv",), ("c.csv", "f.csv")])
     def test_bom_prefixed_files_load_like_plain_ones(self, tmp_path, prefixed):

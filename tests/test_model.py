@@ -9,6 +9,9 @@ from tradenet import (
     MatrixKind,
     bidegree,
     build_network,
+    load_flows,
+    save_flows,
+    trade_influence,
 )
 from tradenet.errors import (
     DuplicateCountryError,
@@ -99,6 +102,18 @@ class TestBuildNetwork:
         table = FlowTable(("AAA", "BBB"), [reporter], [partner], [exports], [1.0])
         with pytest.raises(error, match=message):
             build_network(make_countries()[:2], table)
+
+    def test_zero_trade_row_in_table_is_dropped(self, tmp_path):
+        countries = make_countries()[:2]
+        # codes (AAA, BBB): AAA -> BBB trades nothing, BBB -> AAA trades
+        table = FlowTable(("AAA", "BBB"), [0, 1], [1, 0], [0.0, 3.0], [0.0, 4.0])
+        net = build_network(countries, table)
+        assert net == build_network(countries, table.take([1]))
+        assert list(net.flows) == [BilateralFlow("BBB", "AAA", 3.0, 4.0)]
+        assert net.flow("AAA", "BBB") is None
+        assert trade_influence(net, "AAA", "BBB") == 0.0
+        save_flows(net.flows, tmp_path / "f.csv")
+        assert load_flows(tmp_path / "f.csv") == FlowTable(("BBB", "AAA"), [0], [1], [3.0], [4.0])
 
     def test_order_insensitive(self):
         countries = make_countries()
