@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import warnings
@@ -65,13 +66,20 @@ def _fmt(value: float) -> str:
 
 # --- file writers ----------------------------------------------------------
 
+def _csv_cell(text: str) -> str:
+    """``text`` as a row's first cell, quoted as this module's csv writers quote it."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[:-2]
+
+
 def write_matrix_csv(matrix: InfluenceMatrix, path: Path) -> None:
     """Matrix as CSV: codes on the first row and column, 12 significant digits."""
+    numbers = ",".join(["%.12g"] * matrix.n) + "\n"  # numbers never need quoting
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["code", *matrix.labels])
-        for i, code in enumerate(matrix.labels):
-            writer.writerow([code, *(_fmt(v) for v in matrix.values[i])])
+        csv.writer(handle, lineterminator="\n").writerow(["code", *matrix.labels])
+        for code, row in zip(matrix.labels, matrix.values.tolist()):
+            handle.write(f"{_csv_cell(code)},{numbers % tuple(row)}")
 
 
 def read_matrix_csv(path: Path, kind: MatrixKind | None = None) -> InfluenceMatrix:

@@ -11,7 +11,8 @@ separators).  Every parse error carries the 1-based line number of the
 offending row; when a file has several faults, the first line wins.
 
 Flows are read in blocks of rows straight into the columns of a
-:class:`~tradenet.model.FlowTable` and checked once, as whole columns.
+:class:`~tradenet.model.FlowTable`, which :func:`~tradenet.model.flow_fault`
+checks as whole columns; ingestion adds only what the file knows (lines).
 """
 
 from __future__ import annotations
@@ -24,24 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DuplicateCountryError,
-    DuplicateFlowError,
-    MalformedRowError,
-    MissingColumnError,
-    NegativeAmountError,
-    SelfFlowError,
-)
-from .model import (
-    CountryRecord,
-    FlowTable,
-    TradeNetwork,
-    build_network,
-    checked_amount,
-    first_fault,
-    invalid_amounts,
-    repeated,
-)
+from .errors import DuplicateCountryError, MalformedRowError, MissingColumnError, TradeNetError
+from .model import CountryRecord, FlowTable, TradeNetwork, build_network, flow_fault
 
 __all__ = [
     "COUNTRY_COLUMNS",
@@ -106,17 +91,18 @@ def _blocks(path: str | Path, columns: tuple[str, ...]):
             yield lines, [cells[p::width] for p in positions]
 
 
-def _floats(cells) -> np.ndarray:
-    """Cells as floats; a cell that does not parse becomes NaN."""
+def _floats(cells) -> tuple[np.ndarray, dict[int, str]]:
+    """Cells as floats, NaN where a cell does not parse; and those cells' texts by position."""
     try:
-        return np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells)), {}
     except ValueError:
-        def parse(cell):
+        values, texts = np.empty(len(cells)), {}
+        for i, cell in enumerate(cells):
             try:
-                return float(cell)
+                values[i] = float(cell)
             except ValueError:
-                return math.nan
-        return np.array([parse(cell) for cell in cells], dtype=float)
+                values[i], texts[i] = math.nan, cell.strip()
+        return values, texts
 
 
 def load_countries(path: str | Path) -> list[CountryRecord]:
@@ -139,19 +125,21 @@ def load_countries(path: str | Path) -> list[CountryRecord]:
             seen[code] = line
             try:
                 records.append(CountryRecord(code, name, *amounts))
-            except NegativeAmountError as exc:
-                raise NegativeAmountError(f"{where}: {exc}") from None
             except ValueError as exc:
                 raise MalformedRowError(f"{where}: {exc}") from None
+            except TradeNetError as exc:  # a negative amount
+                raise type(exc)(f"{where}: {exc}") from None
     return records
 
 
 def load_flows(path: str | Path) -> FlowTable:
     """Parse a flows CSV into a table; rows recording zero trade both ways are dropped.
 
-    Raises the error of the first faulty line.  Within a line the checks
-    run in this order: field count, self-flow, pair already seen on an
-    earlier line, exports, imports.
+    Every row, zero-trade rows included, gets :func:`~tradenet.model.flow_fault`;
+    the first faulty line raises its error behind ``path:line:``.  Within a
+    line the checks run in this order: field count, self-flow, pair already
+    on an earlier line (named in the message), exports, imports.  An amount
+    that is not a finite number raises :class:`MalformedRowError`.
     """
     index: dict[str, int] = {}  # code -> position in the table's codes
     raw: dict[str, int] = {}  # cell as written -> index of its stripped code
@@ -159,8 +147,7 @@ def load_flows(path: str | Path) -> FlowTable:
         name: [np.zeros(0, dtype)]
         for name, dtype in zip((*FLOW_COLUMNS, "lines"), (np.intp, np.intp, float, float, np.int64))
     }
-    texts: dict[tuple[int, str], str] = {}  # cells failing the amount check, by (row, column)
-    rows = 0
+    texts: dict[tuple[int, str], str] = {}  # amount cells that do not parse, by (line, column)
     pending = None
     try:
         for lines, cells in _blocks(path, FLOW_COLUMNS):
@@ -170,35 +157,30 @@ def load_flows(path: str | Path) -> FlowTable:
                         raw[cell] = index.setdefault(cell.strip(), len(index))
                 parts[name].append(np.fromiter(map(raw.__getitem__, column), np.intp, len(column)))
             for name, column in zip(FLOW_COLUMNS[2:], cells[2:]):
-                values = _floats(column)
-                for i in np.flatnonzero(invalid_amounts(values)).tolist():
-                    texts[rows + i, name] = column[i].strip()
+                values, unparsed = _floats(column)
+                texts.update(((lines[i], name), text) for i, text in unparsed.items())
                 parts[name].append(values)
             parts["lines"].append(np.array(lines, dtype=np.int64))
-            rows += len(lines)
     except MalformedRowError as exc:
         pending = exc
 
-    codes = tuple(index)
     reporter, partner, exports, imports, lines = (
         np.concatenate(parts[name]) for name in (*FLOW_COLUMNS, "lines")
     )
-
-    pairs = reporter * len(codes) + partner
-    fault = first_fault(
-        reporter == partner, repeated(pairs), invalid_amounts(exports), invalid_amounts(imports)
-    )
+    table = FlowTable(tuple(index), reporter, partner, exports, imports)
+    fault = flow_fault(table)
     if fault is not None:
-        row, check = fault
-        where = f"{path}:{int(lines[row])}"
-        pair = (codes[reporter[row]], codes[partner[row]])
-        if check == 0:
-            raise SelfFlowError(f"{where}: self-flow for {pair[0]}")
-        if check == 1:
-            first = int(lines[np.flatnonzero(pairs == pairs[row])[0]])
-            raise DuplicateFlowError(f"{where}: pair {pair} already defined on line {first}")
-        column = FLOW_COLUMNS[check]
-        checked_amount(texts[row, column], f"{where}: {column}", MalformedRowError)
+        row, error = fault
+        line = int(lines[row])
+        subject = str(error).rpartition(" is ")[0]  # e.g. "exports of flow (A, B)"
+        text = texts.get((line, subject.partition(" ")[0]))
+        if text is not None:  # the cell did not parse (NaN in the table): quote it as written
+            error = ValueError(f"{subject} is not a number: {text!r}")
+        # an earlier record of the row's pair makes the fault its duplicate
+        first = int(np.argmax((reporter == reporter[row]) & (partner == partner[row])))
+        seen = f" already defined on line {int(lines[first])}" if first < row else ""
+        cls = MalformedRowError if isinstance(error, ValueError) else type(error)
+        raise cls(f"{path}:{line}: {error}{seen}")
     if pending is not None:
         raise pending
 
@@ -206,7 +188,7 @@ def load_flows(path: str | Path) -> FlowTable:
     dropped = len(trading) - int(trading.sum())
     if dropped:
         logger.info("%s: dropped %d zero-trade row(s)", path, dropped)
-    return FlowTable(codes, reporter, partner, exports, imports).take(trading)
+    return table.take(trading)
 
 
 def save_countries(records, path: str | Path) -> None:

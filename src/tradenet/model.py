@@ -7,10 +7,10 @@ Flows are held as columns in a :class:`FlowTable`; a :class:`BilateralFlow`
 is one row of it as a record.
 
 Every record check is written once here, over arrays of rows:
-:func:`repeated` finds duplicate keys, :func:`invalid_amounts` amounts that
-are not finite and non-negative, and :func:`first_fault` picks the first
-failing row, then the first failing check within it.  Ingestion runs the
-same functions over whole CSV columns.
+:func:`repeated` finds duplicate keys, :func:`first_fault` picks the first
+failing row, then the first failing check within it, and :func:`flow_fault`
+builds the error of a :class:`FlowTable`'s first faulty row, for
+:func:`build_network` and ingestion alike; ingestion only adds the line.
 
 All types are frozen after construction and safe to share across threads.
 """
@@ -72,24 +72,19 @@ def repeated(keys: np.ndarray) -> np.ndarray:
     return mask
 
 
-def invalid_amounts(values: np.ndarray) -> np.ndarray:
-    """True where an amount is not a finite, non-negative number (NaN included)."""
-    return ~((values >= 0) & (values < np.inf))
-
-
-def checked_amount(value, subject: str, invalid: type[Exception] = ValueError) -> float:
+def checked_amount(value, subject: str) -> float:
     """``value`` as a float, or the error naming ``subject`` and the value as given.
 
     Negative amounts raise :class:`NegativeAmountError`; values that are not
-    numbers or not finite raise ``invalid``.
+    numbers or not finite raise ``ValueError``.
     """
     try:
         number = float(value)
     except (TypeError, ValueError):
-        raise invalid(f"{subject} is not a number: {value!r}") from None
+        raise ValueError(f"{subject} is not a number: {value!r}") from None
     if not 0 <= number < math.inf:
         if not math.isfinite(number):
-            raise invalid(f"{subject} is not finite: {value!r}")
+            raise ValueError(f"{subject} is not finite: {value!r}")
         raise NegativeAmountError(f"{subject} is negative: {value}")
     return number
 
@@ -220,6 +215,46 @@ class FlowTable:
         return FlowTable(self.codes, *(column[rows] for column in columns))
 
 
+def flow_fault(table: FlowTable) -> tuple[int, Exception] | None:
+    """The first faulty row of ``table`` and its error, or ``None``.
+
+    A row's checks run in this order: indices within ``table.codes``,
+    self-flow (a code listed twice in ``table.codes`` is one country), pair
+    already on an earlier row, exports, imports.
+    """
+    k = len(table.codes)
+    columns = (table.reporter, table.partner)
+    outside = (np.minimum(*columns) < 0) | (np.maximum(*columns) >= k)
+    # one id per distinct code; a row with an index outside the codes reads the trailing -1
+    ids = np.append(np.unique(np.array(table.codes, dtype=object), return_inverse=True)[1], -1)
+    reporter, partner = (ids[np.where(outside, k, column)] for column in columns)
+    fault = first_fault(
+        outside,
+        reporter == partner,
+        repeated(reporter * k + partner),
+        # amounts that are not finite and non-negative, NaN included
+        *(~((amounts >= 0) & (amounts < np.inf)) for amounts in (table.exports, table.imports)),
+    )
+    if fault is None:
+        return None
+    row, check = fault
+    if check == 0:
+        return row, UnknownCountryError(
+            f"flow row {row} has country indices ({table.reporter[row]}, "
+            f"{table.partner[row]}) outside the table's {k} codes"
+        )
+    pair = f"({table.codes[table.reporter[row]]}, {table.codes[table.partner[row]]})"
+    if check == 1:
+        return row, SelfFlowError(f"flow {pair} is a self-flow")
+    if check == 2:
+        return row, DuplicateFlowError(f"duplicate flow record for pair {pair}")
+    column = ("exports", "imports")[check - 3]
+    try:
+        checked_amount(float(getattr(table, column)[row]), f"{column} of flow {pair}")
+    except (NegativeAmountError, ValueError) as exc:
+        return row, exc
+
+
 @dataclass(frozen=True, eq=False)
 class TradeNetwork:
     """A fixed set of countries plus their bilateral flow records.
@@ -293,17 +328,15 @@ def build_network(
     Flow rows recording zero trade both ways are dropped after the checks,
     as :func:`~tradenet.ingestion.load_flows` drops them from a file.
 
-    A :class:`FlowTable` gets the checks :func:`~tradenet.ingestion.load_flows`
-    runs, since a table built directly is not checked when it is made.
-
     Raises
     ------
-    DuplicateCountryError, UnknownCountryError, SelfFlowError, DuplicateFlowError
-        Naming the first offending record.  A flow row's checks run in this
-        order: indices within the table's codes, known codes, self-flow,
-        pair already seen on an earlier row, exports, imports.
-    NegativeAmountError, ValueError
-        For a negative or a non-finite amount, naming the pair.
+    DuplicateCountryError
+        If two countries share a code or a name.
+    UnknownCountryError, SelfFlowError, DuplicateFlowError, NegativeAmountError, ValueError
+        For the first faulty flow row.  Every row first gets the checks of
+        :func:`flow_fault`, in order: indices within the table's codes,
+        self-flow, pair already on an earlier row, exports, imports.  Only
+        then is a code that names no country an error.
     """
     countries = tuple(countries)
     codes = [c.code for c in countries]
@@ -318,44 +351,22 @@ def build_network(
         first = codes[names.index(rec.name)]
         raise DuplicateCountryError(f"country name {rec.name!r} shared by {first} and {rec.code}")
 
+    table = flows if isinstance(flows, FlowTable) else FlowTable.from_records(flows)
+    fault = flow_fault(table)
+    if fault is not None:
+        raise fault[1]
     ordered = tuple(sorted(countries, key=lambda c: c.name))
     n = len(ordered)
     position = {c.code: i for i, c in enumerate(ordered)}
-    table = flows if isinstance(flows, FlowTable) else FlowTable.from_records(flows)
-    k = len(table.codes)
-    columns = (table.reporter, table.partner)
-    outside = (np.minimum(*columns) < 0) | (np.maximum(*columns) >= k)
-    # a row with an index outside the table's codes reads the trailing -1
-    lookup = np.array([position.get(code, -1) for code in table.codes] + [-1], dtype=np.intp)
-    reporter, partner = (lookup[np.where(outside, k, column)] for column in columns)
-    fault = first_fault(
-        outside,
-        (reporter < 0) | (partner < 0),
-        reporter == partner,
-        repeated(reporter * n + partner),
-        invalid_amounts(table.exports),
-        invalid_amounts(table.imports),
-    )
-    if fault is not None:
-        row, check = fault
-        if check == 0:
-            raise UnknownCountryError(
-                f"flow row {row} has country indices ({table.reporter[row]}, "
-                f"{table.partner[row]}) outside the table's {k} codes"
-            )
-        pair = (table.codes[table.reporter[row]], table.codes[table.partner[row]])
-        if check == 1:
-            missing = pair[0] if reporter[row] < 0 else pair[1]
-            raise UnknownCountryError(
-                f"flow ({pair[0]}, {pair[1]}) references unknown country {missing}"
-            )
-        if check == 2:
-            raise SelfFlowError(f"flow ({pair[0]}, {pair[1]}) is a self-flow")
-        if check == 3:
-            raise DuplicateFlowError(f"duplicate flow record for pair {pair}")
-        column = ("exports", "imports")[check - 4]
-        value = float(getattr(table, column)[row])
-        checked_amount(value, f"{column} of flow ({pair[0]}, {pair[1]})")
+    lookup = np.array([position.get(code, -1) for code in table.codes], dtype=np.intp)
+    reporter, partner = lookup[table.reporter], lookup[table.partner]
+    unknown = np.flatnonzero((reporter < 0) | (partner < 0))
+    if len(unknown):
+        row = unknown[0]
+        a, b = table.codes[table.reporter[row]], table.codes[table.partner[row]]
+        raise UnknownCountryError(
+            f"flow ({a}, {b}) references unknown country {a if reporter[row] < 0 else b}"
+        )
 
     code_rank = np.empty(n, dtype=np.intp)
     code_rank[sorted(range(n), key=lambda i: ordered[i].code)] = np.arange(n)

@@ -88,6 +88,12 @@ def offer_influence(network: TradeNetwork, a: str, b: str) -> float:
     return network.reported_trade(a, b) / denom
 
 
+def _warn(count: int, problem: str) -> None:
+    """Warn the caller of :func:`build_direct_matrix`: flows of ``count`` countries ``problem``."""
+    countries = "country" if count == 1 else "countries"
+    warnings.warn(f"flows of {count} {countries} {problem}", ConsistencyWarning, stacklevel=3)
+
+
 def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMatrix:
     """Assemble the full direct-influence matrix for one weighting.
 
@@ -99,14 +105,17 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
     Raises
     ------
     ZeroOfferDenominatorError
-        For ``kind=OFFER``, if a country has flow records but zero offer.
+        For ``kind=OFFER``, if a country has flow records but zero offer,
+        naming the first such country.
 
     Warns
     -----
     ConsistencyWarning
         For ``kind=TRADE``, once if any country's recorded flows do not sum
         to its declared totals (its row then sums to flows/declared instead
-        of 1), with the count of such countries and the furthest ratio.
+        of 1), with the count of such countries and the furthest ratio; and
+        once if countries with flow records declare no totals at all, with
+        their count and the first of them.
     """
     flows = network.flows
     totals = flows.totals
@@ -116,18 +125,13 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
         dtype=float,
     )
 
-    for rec, denom, recorded in zip(network.countries, denoms, reported):
-        if denom == 0 and recorded > 0:
-            if kind is WeightKind.OFFER:
-                raise ZeroOfferDenominatorError(
-                    f"{rec.code} has flow records but zero GDP + imports"
-                )
-            warnings.warn(
-                f"{rec.code} has flow records but declares no trade totals "
-                "(row left at zero, ratio undefined)",
-                ConsistencyWarning,
-                stacklevel=2,
-            )
+    undivided = np.flatnonzero((denoms == 0) & (reported > 0))
+    if len(undivided):
+        first = network.codes[undivided[0]]
+        if kind is WeightKind.OFFER:
+            raise ZeroOfferDenominatorError(f"{first} has flow records but zero GDP + imports")
+        _warn(len(undivided), "have no declared trade totals to divide by "
+              f"(rows left at zero, ratio undefined); first: {first}")
 
     values = np.zeros((network.n, network.n))
     rows = denoms[flows.reporter] > 0
@@ -142,12 +146,7 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
         if len(mismatched):
             ratios = reported[mismatched] / denoms[mismatched]
             furthest = int(np.argmax(np.abs(ratios - 1.0)))
-            countries = "country" if len(mismatched) == 1 else "countries"
-            warnings.warn(
-                f"flows of {len(mismatched)} {countries} do not sum to their declared totals; "
-                f"furthest: {network.codes[mismatched[furthest]]} at {ratios[furthest]:.6g}",
-                ConsistencyWarning,
-                stacklevel=2,
-            )
+            _warn(len(mismatched), "do not sum to their declared totals; furthest: "
+                  f"{network.codes[mismatched[furthest]]} at {ratios[furthest]:.6g}")
 
     return InfluenceMatrix(network.codes, values, kind.matrix_kind)

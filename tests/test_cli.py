@@ -12,6 +12,8 @@ import tradenet
 from tradenet import (
     BilateralFlow,
     CountryRecord,
+    InfluenceMatrix,
+    MatrixKind,
     WeightKind,
     build_network,
     pwp,
@@ -21,7 +23,7 @@ from tradenet import (
     save_flows,
 )
 from tradenet.analytics import plane as analytics_plane
-from tradenet.cli import main, read_matrix_csv
+from tradenet.cli import main, read_matrix_csv, write_matrix_csv
 
 from conftest import (
     TRIANGLE_COUNTRIES,
@@ -149,6 +151,32 @@ class TestMatrixCommand:
         args = dataset_args(*triangle_files, out, "--region", "CUB,USA")
         assert main(["matrix", *args]) == 0
         assert read_matrix_csv(out / "direct_trade.csv").labels == ("CUB", "USA")
+
+
+class TestWriteMatrixCsv:
+    def test_bytes_match_per_cell_csv_writer_and_round_trip(self, tmp_path):
+        labels = ("a,b", 'say "hi"', "two\nlines", "")
+        # +-0.0, a subnormal and 1e300; each has at most 12 significant digits
+        values = np.array(
+            [
+                [0.0, -0.0, 5e-324, 1e300],
+                [2.5e-310, 0.25, -1.5, 123456789012.0],
+                [1e-5, 3.0, 0.0, 7e-300],
+                [1.0, 2.0, 9.99999999999e299, -0.0],
+            ]
+        )
+        matrix = InfluenceMatrix(labels, values, MatrixKind.indirect("test"))
+        write_matrix_csv(matrix, tmp_path / "m.csv")
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["code", *labels])
+            for label, row in zip(labels, values):
+                writer.writerow([label, *(f"{v:.12g}" for v in row)])
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        back = read_matrix_csv(tmp_path / "m.csv")
+        assert back.labels == labels
+        assert np.array_equal(back.values, values)
+        assert np.array_equal(np.signbit(back.values), np.signbit(values))
 
 
 class TestRankCommand:

@@ -1,5 +1,6 @@
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tradenet import (
     BilateralFlow,
     CountryRecord,
     DatasetManifest,
+    FlowTable,
     WeightKind,
     build_network,
     load_countries,
@@ -192,6 +194,135 @@ class TestFlowFaultPrecedence:
         flows = write(tmp_path, "f.csv", FLOWS_HEADER + "AAA,ZZZ,1,1\nAAA,BBB,1,1\nAAA,BBB,1,1\n")
         with pytest.raises(DuplicateFlowError, match=":4:"):
             load_network(DatasetManifest(countries, flows))
+
+
+class TestFlowMessages:
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [
+            (["USA,USA,1,1"], "f.csv:2: flow (USA, USA) is a self-flow"),
+            (
+                ["USA,CHN,1,1", "CHN,USA,1,1", "USA,CHN,2,2"],
+                "f.csv:4: duplicate flow record for pair (USA, CHN) already defined on line 2",
+            ),
+            (["USA,CHN,abc,1"], "f.csv:2: exports of flow (USA, CHN) is not a number: 'abc'"),
+            (["USA,CHN,nan,x y"], "f.csv:2: exports of flow (USA, CHN) is not finite: nan"),
+            (["USA,CHN,1, x y "], "f.csv:2: imports of flow (USA, CHN) is not a number: 'x y'"),
+            (["USA,CHN,-1,1"], "f.csv:2: exports of flow (USA, CHN) is negative: -1.0"),
+        ],
+        ids=["self-flow", "duplicate", "not-a-number", "nan", "imports-not-a-number", "negative"],
+    )
+    def test_message_names_line_and_pair(self, tmp_path, rows, message):
+        path = write(tmp_path, "f.csv", FLOWS_HEADER + "\n".join(rows) + "\n")
+        with pytest.raises(Exception) as exc:
+            load_flows(path)
+        assert str(exc.value) == f"{tmp_path / message}"
+
+
+# flow rows for the oracle: " AAA" strips to AAA, "ZZZ" names no country
+ORACLE_CODES = ("AAA", " AAA", "BBB", "CCC", "ZZZ")
+ORACLE_AMOUNTS = ("0", "1", "2.5") * 4 + ("-1", "nan", "abc", "inf", "-inf")
+ORACLE_FLOW = st.tuples(
+    *[st.sampled_from(ORACLE_CODES)] * 2, *[st.sampled_from(ORACLE_AMOUNTS)] * 2
+).map(list)
+# blank rows (skipped), then short and long rows (each ends the file)
+ORACLE_ODD = st.sampled_from([
+    [], ["", "", "", ""], [" ", "", "", ""],
+    ["AAA", "BBB", "1"], ["AAA"], ["AAA", "BBB", "1", "1", "1"],
+])
+ORACLE_ROWS = st.lists(
+    st.integers(0, 7).flatmap(lambda kind: ORACLE_ODD if kind == 0 else ORACLE_FLOW), max_size=10
+)
+
+
+def oracle(rows):
+    """Outcome of loading ``rows`` (lists of cells, data lines from line 2 on).
+
+    ``(error class, line)`` of the first faulty line, else the kept records
+    as ``(reporter, partner, exports, imports)`` tuples.  A plain loop over
+    the documented rules: blank rows are skipped; then field count,
+    self-flow, pair on an earlier line, exports, imports; rows recording no
+    trade are dropped.
+    """
+    seen, kept = set(), []
+    for line, cells in enumerate(rows, start=2):
+        if not any(cell.strip() for cell in cells):
+            continue
+        if len(cells) != 4:
+            return MalformedRowError, line
+        reporter, partner, *texts = (cell.strip() for cell in cells)
+        if reporter == partner:
+            return SelfFlowError, line
+        if (reporter, partner) in seen:
+            return DuplicateFlowError, line
+        seen.add((reporter, partner))
+        amounts = []
+        for text in texts:
+            try:
+                amount = float(text)
+            except ValueError:
+                return MalformedRowError, line
+            if amount != amount or amount in (float("inf"), float("-inf")):
+                return MalformedRowError, line
+            if amount < 0:
+                return NegativeAmountError, line
+            amounts.append(amount)
+        if amounts != [0.0, 0.0]:
+            kept.append((reporter, partner, *amounts))
+    return kept
+
+
+def records(flows):
+    return [(f.reporter, f.partner, f.exports, f.imports) for f in flows]
+
+
+class TestFlowOracle:
+    @pytest.mark.parametrize("block_rows", [2, ingestion._BLOCK_ROWS])
+    @settings(max_examples=150, deadline=None)
+    @given(rows=ORACLE_ROWS)
+    def test_load_flows_matches_oracle(self, block_rows, rows):
+        expected = oracle(rows)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            ingestion, "_BLOCK_ROWS", block_rows
+        ):
+            path = Path(tmp) / "f.csv"
+            path.write_text(FLOWS_HEADER + "".join(",".join(r) + "\n" for r in rows))
+            if isinstance(expected, list):
+                assert records(load_flows(path)) == expected
+            else:
+                error, line = expected
+                with pytest.raises(error, match=f"f.csv:{line}: "):
+                    load_flows(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=ORACLE_ROWS)
+    def test_build_network_matches_oracle_on_direct_tables(self, rows):
+        # a table holds numbers, so a cell that does not parse becomes NaN;
+        # each row lists its own two codes, so the table repeats codes
+        rows = [r for r in rows if len(r) == 4 and any(cell.strip() for cell in r)]
+        numbers = [[cell.replace("abc", "nan") for cell in r] for r in rows]
+        expected = oracle(numbers)
+        codes = [cell.strip() for r in rows for cell in r[:2]]
+        table = FlowTable(
+            codes,
+            range(0, len(codes), 2),
+            range(1, len(codes), 2),
+            [float(r[2]) for r in numbers],
+            [float(r[3]) for r in numbers],
+        )
+        countries = [CountryRecord(c, f"Land {c}", 1.0, 1.0, 1.0) for c in ("AAA", "BBB", "CCC")]
+        if isinstance(expected, list) and "ZZZ" in codes:
+            row = next(i for i, r in enumerate(rows) if "ZZZ" in codes[2 * i : 2 * i + 2])
+            expected = UnknownCountryError, row + 2
+        if isinstance(expected, list):
+            net = build_network(countries, table)
+            assert records(net.flows) == sorted(expected)
+        else:
+            error, line = expected
+            error = ValueError if error is MalformedRowError else error
+            reporter, partner = codes[2 * (line - 2) : 2 * (line - 2) + 2]
+            with pytest.raises(error, match=rf"\({reporter}, {partner}\)"):
+                build_network(countries, table)
 
 
 # first fault of a countries file: the earliest line wins; within a line,

@@ -87,21 +87,40 @@ class TestBuildNetwork:
             build_network(make_countries(), flows)
 
     @pytest.mark.parametrize(
-        ("reporter", "partner", "exports", "error", "message"),
+        ("codes", "reporter", "partner", "exports", "error", "message"),
         [
-            (0, 0, 1.0, SelfFlowError, r"flow \(AAA, AAA\) is a self-flow"),
-            (0, 1, -3.0, NegativeAmountError, r"exports of flow \(AAA, BBB\) is negative"),
-            (0, 1, float("nan"), ValueError, r"exports of flow \(AAA, BBB\) is not finite"),
-            (0, -1, 1.0, UnknownCountryError, r"indices \(0, -1\) outside the table's 2 codes"),
-            (0, 5, 1.0, UnknownCountryError, r"indices \(0, 5\) outside the table's 2 codes"),
+            (("AAA", "BBB"), 0, 0, 1.0, SelfFlowError, r"flow \(AAA, AAA\) is a self-flow"),
+            (("AAA", "BBB"), 0, 1, -3.0, NegativeAmountError,
+             r"exports of flow \(AAA, BBB\) is negative"),
+            (("AAA", "BBB"), 0, 1, float("nan"), ValueError,
+             r"exports of flow \(AAA, BBB\) is not finite"),
+            (("AAA", "BBB"), 0, -1, 1.0, UnknownCountryError,
+             r"indices \(0, -1\) outside the table's 2 codes"),
+            (("AAA", "BBB"), 0, 5, 1.0, UnknownCountryError,
+             r"indices \(0, 5\) outside the table's 2 codes"),
+            # the table lists AAA twice: its two indices are one country
+            (("AAA", "AAA"), 0, 1, 1.0, SelfFlowError, r"flow \(AAA, AAA\) is a self-flow"),
         ],
-        ids=["self-flow", "negative", "nan", "index-minus-one", "index-past-end"],
+        ids=["self-flow", "negative", "nan", "index-minus-one", "index-past-end", "repeated-code"],
     )
-    def test_table_built_directly_is_checked(self, reporter, partner, exports, error, message):
+    def test_table_built_directly_is_checked(
+        self, codes, reporter, partner, exports, error, message
+    ):
         # a FlowTable is not checked when it is made; build_network checks it
-        table = FlowTable(("AAA", "BBB"), [reporter], [partner], [exports], [1.0])
+        table = FlowTable(codes, [reporter], [partner], [exports], [1.0])
         with pytest.raises(error, match=message):
             build_network(make_countries()[:2], table)
+
+    def test_table_checks_run_before_codes_resolve(self):
+        # the duplicate on the third row wins over the unknown ZZZ on the first,
+        # as it does for a flows file (load_network)
+        flows = [
+            BilateralFlow("AAA", "ZZZ", 1.0, 1.0),
+            BilateralFlow("AAA", "BBB", 1.0, 1.0),
+            BilateralFlow("AAA", "BBB", 1.0, 1.0),
+        ]
+        with pytest.raises(DuplicateFlowError, match=r"pair \(AAA, BBB\)"):
+            build_network(make_countries(), flows)
 
     def test_zero_trade_row_in_table_is_dropped(self, tmp_path):
         countries = make_countries()[:2]

@@ -180,6 +180,28 @@ class TestBuildDirectMatrix:
         with pytest.raises(ZeroOfferDenominatorError, match="AAA"):
             build_direct_matrix(net, WeightKind.OFFER)
 
+    def test_countries_without_totals_give_one_warning(self):
+        # three countries record flows to DDD but declare no trade, GDP or imports
+        countries = [
+            CountryRecord("AAA", "Alpha", 0.0, 0.0, 0.0),
+            CountryRecord("BBB", "Beta", 0.0, 0.0, 0.0),
+            CountryRecord("CCC", "Gamma", 0.0, 0.0, 0.0),
+            CountryRecord("DDD", "Delta", 100.0, 5.0, 5.0),
+        ]
+        flows = [BilateralFlow(code, "DDD", 1.0, 1.0) for code in ("AAA", "BBB", "CCC")]
+        net = build_network(countries, flows + [BilateralFlow("DDD", "AAA", 5.0, 5.0)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m = build_direct_matrix(net, WeightKind.TRADE)
+        assert [str(w.message) for w in caught if "trade totals" in str(w.message)] == [
+            "flows of 3 countries have no declared trade totals to divide by "
+            "(rows left at zero, ratio undefined); first: AAA"
+        ]
+        assert len(caught) == 1
+        assert not m.values[[net.index(c) for c in ("AAA", "BBB", "CCC")]].any()
+        with pytest.raises(ZeroOfferDenominatorError, match="^AAA has flow records"):
+            build_direct_matrix(net, WeightKind.OFFER)
+
     def test_positive_entry_iff_flow_exists(self):
         rng = np.random.default_rng(5)
         net = synthetic_network(generated_pairs(6), rng, density=0.4)
