@@ -2,6 +2,7 @@
 and synthetic network generators."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,13 @@ TRIANGLE_FLOWS = [
 @pytest.fixture
 def triangle_network():
     return build_network(TRIANGLE_COUNTRIES, TRIANGLE_FLOWS)
+
+
+# the triangle under display names a CSV writer must quote: a comma, a quote
+QUOTED_NAME_COUNTRIES = [
+    replace(country, name=name)
+    for country, name in zip(TRIANGLE_COUNTRIES, ("Cuba", 'Spain "ES"', "United States, The"))
+]
 
 
 # American-continent country list (35 codes) used for regional fixtures.
