@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import warnings
 from collections.abc import Callable
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ import numpy as np
 from . import analytics
 from .engine import MethodSpec
 from .errors import MalformedRowError, TradeNetError
-from .ingestion import DatasetManifest, load_network
+from .ingestion import DatasetManifest, csv_blocks, csv_line, load_network, write_lines
 from .model import InfluenceMatrix, MatrixKind, TradeNetwork
 from .weights import WeightKind, build_direct_matrix
 
@@ -65,71 +65,58 @@ def _fmt(value: float) -> str:
 
 
 # --- file writers ----------------------------------------------------------
-
-def _csv_cell(text: str) -> str:
-    """``text`` as a row's first cell, quoted as this module's csv writers quote it."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
-    return buffer.getvalue()[:-2]
-
+# ingestion decides the format: csv_line formats CSV lines, write_lines writes.
 
 def write_matrix_csv(matrix: InfluenceMatrix, path: Path) -> None:
     """Matrix as CSV: codes on the first row and column, 12 significant digits."""
-    numbers = ",".join(["%.12g"] * matrix.n) + "\n"  # numbers never need quoting
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, lineterminator="\n").writerow(["code", *matrix.labels])
-        for code, row in zip(matrix.labels, matrix.values.tolist()):
-            handle.write(f"{_csv_cell(code)},{numbers % tuple(row)}")
+    numbers = ",%.12g" * matrix.n + "\n"  # numbers never need quoting
+    rows = zip(matrix.labels, matrix.values.tolist())
+    lines = (csv_line((code,), numbers % tuple(row)) for code, row in rows)
+    write_lines(path, chain((csv_line(("code", *matrix.labels)),), lines))
 
 
-def read_matrix_csv(path: Path, kind: MatrixKind | None = None) -> InfluenceMatrix:
+def read_matrix_csv(path: Path) -> InfluenceMatrix:
     """Read a matrix written by :func:`write_matrix_csv`."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = list(csv.reader(handle))
     labels = tuple(rows[0][1:])
     values = np.array([[float(cell) for cell in row[1:]] for row in rows[1:]])
-    return InfluenceMatrix(labels, values, kind or MatrixKind.indirect("file"))
+    return InfluenceMatrix(labels, values, MatrixKind.indirect("file"))
 
 
 def _write_ranking(
     report: analytics.RankingReport, network: TradeNetwork, path: Path, fmt: str
 ) -> None:
-    entries = [
-        {
-            "code": row.code,
-            "name": network.country(row.code).name,
-            "value": row.value(report.criterion),
-            "rank": row.position(report.criterion),
-        }
+    criterion, columns = report.criterion, ("code", "name", "value", "rank")
+    rows = [
+        (row.code, network.country(row.code).name, row.value(criterion), row.position(criterion))
         for row in report.rows
     ]
     if fmt == "json":
-        payload = {
-            "criterion": report.criterion,
-            "matrix": report.matrix_kind,
-            "rows": entries,
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        return
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["code", "name", "value", "rank"])
-        for entry in entries:
-            writer.writerow([entry["code"], entry["name"], _fmt(entry["value"]), entry["rank"]])
+        entries = [dict(zip(columns, row)) for row in rows]
+        payload = {"criterion": criterion, "matrix": report.matrix_kind, "rows": entries}
+        write_lines(path, (json.dumps(payload, indent=2), "\n"))
+    else:
+        cells = [columns] + [(c, n, _fmt(v), str(r)) for c, n, v, r in rows]
+        write_lines(path, map(csv_line, cells))
 
 
 def _read_ranking(path: Path) -> dict[str, int]:
     """Country -> rank map from a ranking file written by ``rank`` (CSV or JSON)."""
-    try:
-        if path.suffix == ".json":
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            rows = payload["rows"]
+    if path.suffix == ".json":
+        try:
+            rows = json.loads(path.read_text(encoding="utf-8-sig"))["rows"]
             return {row["code"]: int(row["rank"]) for row in rows}
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            return {row["code"]: int(row["rank"]) for row in reader}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedRowError(f"{path}: not a ranking file ({exc})") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedRowError(f"{path}: not a ranking file ({exc})") from None
+    ranks = {}
+    for lines, (codes, cells) in csv_blocks(path, ("code", "rank")):
+        for line, code, cell in zip(lines, codes, cells):
+            try:
+                ranks[code] = int(cell)
+            except ValueError:
+                raise MalformedRowError(f"{path}:{line}: rank is not an integer: {cell!r}") from None
+    return ranks
 
 
 # --- commands ----------------------------------------------------------------
@@ -168,18 +155,12 @@ def _plane(args, network, direct, method) -> Writers:
     points = _run_stage("analytics", analytics.plane, indirect)
     d_mean = sum(p.dependence for p in points) / len(points)
     f_mean = sum(p.influence for p in points) / len(points)
-
-    def write(path: Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            handle.write(f"# mean_dependence={_fmt(d_mean)} mean_influence={_fmt(f_mean)}\n")
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["code", "dependence", "influence", "sector"])
-            for point in points:
-                writer.writerow(
-                    [point.code, _fmt(point.dependence), _fmt(point.influence), point.sector]
-                )
-
-    return {f"plane_{args.weight}_{method.method}.csv": write}
+    rows = [("code", "dependence", "influence", "sector")] + [
+        (p.code, _fmt(p.dependence), _fmt(p.influence), str(p.sector)) for p in points
+    ]
+    lines = [f"# mean_dependence={_fmt(d_mean)} mean_influence={_fmt(f_mean)}\n"]
+    lines += map(csv_line, rows)
+    return {f"plane_{args.weight}_{method.method}.csv": lambda path: write_lines(path, lines)}
 
 
 def _export_dot(args, network, direct, method) -> Writers:
@@ -195,17 +176,10 @@ def _export_dot(args, network, direct, method) -> Writers:
     edges = sorted(
         (labels[j], labels[i], values[i, j]) for i, j in zip(targets.tolist(), sources.tolist())
     )
-
-    def write(path: Path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("digraph trade {\n")
-            for code in sorted(labels):
-                handle.write(f'  "{code}";\n')
-            for source, target, value in edges:
-                handle.write(f'  "{source}" -> "{target}" [weight={_fmt(value)}];\n')
-            handle.write("}\n")
-
-    return {f"network_{args.weight}.dot": write}
+    nodes = (f'  "{code}";\n' for code in sorted(labels))
+    arcs = (f'  "{s}" -> "{t}" [weight={_fmt(v)}];\n' for s, t, v in edges)
+    lines = ["digraph trade {\n", *nodes, *arcs, "}\n"]
+    return {f"network_{args.weight}.dot": lambda path: write_lines(path, lines)}
 
 
 COMMANDS = {"matrix": _matrix, "rank": _rank, "plane": _plane, "export-dot": _export_dot}
@@ -240,7 +214,6 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, help="micmac path length")
     parser.add_argument("--p", type=float, help="pagerank teleportation parameter")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -262,6 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--criterion", choices=analytics.CRITERIA, default="influence"
             )
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "export-dot":
             p.add_argument("--min-weight", type=float, default=0.0)
 

@@ -10,6 +10,10 @@ decimals in thousands of US dollars (decimal point, no thousands
 separators).  Every parse error carries the 1-based line number of the
 offending row; when a file has several faults, the first line wins.
 
+The file format is decided here, for every file the package reads or
+writes: :func:`csv_blocks` reads a CSV file, :func:`csv_line` formats a CSV
+line and :func:`write_lines` writes any file, as UTF-8 with ``\\n`` line ends.
+
 Flows are read in blocks of rows straight into the columns of a
 :class:`~tradenet.model.FlowTable`, which :func:`~tradenet.model.flow_fault`
 checks as whole columns; ingestion adds only what the file knows (lines).
@@ -20,7 +24,10 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +52,13 @@ logger = logging.getLogger(__name__)
 COUNTRY_COLUMNS = ("code", "name", "gdp", "total_exports", "total_imports")
 FLOW_COLUMNS = ("reporter", "partner", "exports", "imports")
 
+_SPECIAL = re.compile('[,"\n\r]')  # a cell holding one of these is quoted
+
 # rows held as Python lists at once; bounds the parser's memory on large files
 _BLOCK_ROWS = 32_768
 
 
-def _blocks(path: str | Path, columns: tuple[str, ...]):
+def csv_blocks(path: str | Path, columns: tuple[str, ...]):
     """Yield ``(lines, cells)`` per block of data rows, after header validation.
 
     ``lines`` are the rows' 1-based line numbers and ``cells`` one list of
@@ -110,25 +119,28 @@ def load_countries(path: str | Path) -> list[CountryRecord]:
 
     Raises the error of the first faulty line.  Within a line the checks
     run in this order: field count, code already seen on an earlier line,
-    then :class:`~tradenet.model.CountryRecord`'s own (gdp, total_exports,
-    total_imports, code, name).
+    :class:`~tradenet.model.CountryRecord`'s own (gdp, total_exports,
+    total_imports, code, name), then name already seen on an earlier line.
     """
     records: list[CountryRecord] = []
-    seen: dict[str, int] = {}  # code -> line defining it
-    for lines, cells in _blocks(path, COUNTRY_COLUMNS):
+    codes: dict[str, int] = {}  # code -> line defining it
+    names: dict[str, int] = {}  # name -> line defining it
+    for lines, cells in csv_blocks(path, COUNTRY_COLUMNS):
         for line, row in zip(lines, zip(*cells)):
             code, name, *amounts = (cell.strip() for cell in row)
             where = f"{path}:{line}"
-            if code in seen:
-                first = seen[code]
+            first = codes.setdefault(code, line)
+            if first != line:
                 raise DuplicateCountryError(f"{where}: code {code} already defined on line {first}")
-            seen[code] = line
             try:
                 records.append(CountryRecord(code, name, *amounts))
             except ValueError as exc:
                 raise MalformedRowError(f"{where}: {exc}") from None
             except TradeNetError as exc:  # a negative amount
                 raise type(exc)(f"{where}: {exc}") from None
+            first = names.setdefault(name, line)
+            if first != line:
+                raise DuplicateCountryError(f"{where}: name {name!r} already defined on line {first}")
     return records
 
 
@@ -150,7 +162,7 @@ def load_flows(path: str | Path) -> FlowTable:
     texts: dict[tuple[int, str], str] = {}  # amount cells that do not parse, by (line, column)
     pending = None
     try:
-        for lines, cells in _blocks(path, FLOW_COLUMNS):
+        for lines, cells in csv_blocks(path, FLOW_COLUMNS):
             for name, column in zip(FLOW_COLUMNS[:2], cells[:2]):
                 for cell in dict.fromkeys(column):
                     if cell not in raw:
@@ -191,22 +203,34 @@ def load_flows(path: str | Path) -> FlowTable:
     return table.take(trading)
 
 
-def save_countries(records, path: str | Path) -> None:
+def csv_line(cells: Sequence[str], end: str = "\n") -> str:
+    """``cells`` joined by commas, then ``end`` as it is; every CSV line written is made here.
+
+    A cell is quoted, its quotes doubled, exactly when it holds a comma, a
+    quote, ``\\n`` or ``\\r``.  ``end`` may carry cells that never need
+    quoting, such as numbers.
+    """
+    return ",".join('"%s"' % c.replace('"', '""') if _SPECIAL.search(c) else c for c in cells) + end
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``path`` as UTF-8, line ends as given; every writer ends here."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COUNTRY_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [rec.code, rec.name, repr(rec.gdp), repr(rec.total_exports), repr(rec.total_imports)]
-            )
+        handle.writelines(lines)
+
+
+def save_countries(records, path: str | Path) -> None:
+    rows = ((r.code, r.name, *map(repr, (r.gdp, r.total_exports, r.total_imports))) for r in records)
+    write_lines(path, map(csv_line, chain((COUNTRY_COLUMNS,), rows)))
 
 
 def save_flows(flows, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(FLOW_COLUMNS)
-        for flow in flows:
-            writer.writerow([flow.reporter, flow.partner, repr(flow.exports), repr(flow.imports)])
+    """Write a :class:`~tradenet.model.FlowTable` or flow records, one row each, unchecked."""
+    table = flows if isinstance(flows, FlowTable) else FlowTable.from_records(flows)
+    codes = np.array(table.codes, dtype=object)
+    amounts = (map(repr, column.tolist()) for column in (table.exports, table.imports))
+    rows = zip(codes[table.reporter], codes[table.partner], *amounts)
+    write_lines(path, map(csv_line, chain((FLOW_COLUMNS,), rows)))
 
 
 def subset(network: TradeNetwork, codes) -> TradeNetwork:

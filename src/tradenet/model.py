@@ -139,9 +139,9 @@ class BilateralFlow:
     imports: float
 
     def __post_init__(self) -> None:
-        if self.reporter == self.partner:
-            raise SelfFlowError(f"flow {self.reporter}->{self.partner} is a self-flow")
         owner = f"flow ({self.reporter}, {self.partner})"
+        if self.reporter == self.partner:
+            raise SelfFlowError(f"{owner} is a self-flow")
         for attr in ("exports", "imports"):
             value = checked_amount(getattr(self, attr), f"{attr} of {owner}")
             object.__setattr__(self, attr, value)

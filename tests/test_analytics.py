@@ -218,6 +218,11 @@ class TestNormalizedIncrement:
         with pytest.raises(ZeroDirectEntryError):
             normalized_increment(direct, indirect, "C0X", "C1X")
 
+    def test_zero_indirect_matrix_rejected(self):
+        direct = labelled(np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="indirect matrix sums to zero"):
+            normalized_increment(direct, labelled(np.zeros((2, 2))), "C0X", "C1X")
+
     def test_label_mismatch_rejected(self):
         direct = labelled(np.full((2, 2), 0.5))
         other = InfluenceMatrix(("XXA", "XXB"), np.full((2, 2), 0.5), MatrixKind.indirect("pwp"))

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,12 @@ class TestWriteMatrixCsv:
         assert np.array_equal(back.values, values)
         assert np.array_equal(np.signbit(back.values), np.signbit(values))
 
+    def test_carriage_return_in_label_round_trips(self, tmp_path):
+        matrix = InfluenceMatrix(("a\rb", "c"), np.identity(2), MatrixKind.indirect("test"))
+        write_matrix_csv(matrix, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes().startswith(b'code,"a\rb",c\n"a\rb",1,0\n')
+        assert read_matrix_csv(tmp_path / "m.csv").labels == matrix.labels
+
 
 class TestRankCommand:
     def test_two_row_ranking(self, tmp_path, us_china_files):
@@ -331,6 +338,47 @@ class TestCompareCommand:
         assert main(["compare", str(json_path), str(csv_path)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "distance: 0"
 
+    def test_carriage_return_in_name_round_trips(self, tmp_path, capsys):
+        countries = [
+            CountryRecord(code, f"{code}\r{code}", 10.0, 2.0, 2.0) for code in ("AAA", "BBB")
+        ]
+        flows = [BilateralFlow("AAA", "BBB", 1.0, 1.0), BilateralFlow("BBB", "AAA", 1.0, 1.0)]
+        files = write_dataset(tmp_path, build_network(countries, flows))
+        path = self.rank_files(tmp_path, files)
+        with open(path, newline="", encoding="utf-8") as handle:
+            names = [row["name"] for row in csv.DictReader(handle)]
+        assert sorted(names) == ["AAA\rAAA", "BBB\rBBB"]
+        capsys.readouterr()
+        assert main(["compare", str(path), str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "distance: 0"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_byte_order_mark_is_accepted(self, tmp_path, us_china_files, capsys, fmt):
+        main(["rank", *dataset_args(*us_china_files, tmp_path / "out", "--format", fmt)])
+        path = tmp_path / "out" / f"ranking_direct_trade_influence.{fmt}"
+        prefixed = tmp_path / f"bom.{fmt}"
+        prefixed.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        capsys.readouterr()
+        assert main(["compare", str(prefixed), str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "distance: 0"
+
+    @pytest.mark.parametrize(
+        ("name", "text", "message"),
+        [
+            ("r.csv", "code,name,value\nAAA,Alpha,0.7\n", r"r\.csv: missing column\(s\) rank"),
+            ("r.csv", "code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,x\n",
+             r"r\.csv:3: rank is not an integer: 'x'"),
+            ("r.csv", "code,name,value,rank\nAAA,Alpha,0.7\n", r"r\.csv:2: expected 4 fields, got 3"),
+            ("r.csv", "", r"r\.csv: file is empty, header row required"),
+            ("r.json", '{"criterion": "influence"}\n', r"r\.json: not a ranking file \('rows'\)"),
+        ],
+        ids=["missing-column", "rank-not-integer", "field-count", "empty", "json-without-rows"],
+    )
+    def test_bad_ranking_file_exits_one_naming_it(self, tmp_path, capsys, name, text, message):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main(["compare", str(tmp_path / name), str(tmp_path / name)]) == 1
+        assert re.search(rf"^error \[ingestion\] .*{message}", capsys.readouterr().err)
+
     def test_domain_mismatch_exits_one(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -473,6 +521,14 @@ class TestContract:
                 "--method", "pwp", "--k", "4",  # k does not apply to pwp
             ])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["matrix", "plane", "export-dot"])
+    def test_format_is_a_rank_option(self, tmp_path, us_china_files, command):
+        argv = dataset_args(*us_china_files, tmp_path / "out", "--format", "json")
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method", ["pwp", "heatkernel"])
     @pytest.mark.parametrize("lam", ["-1", "0", "nan", "inf"])

@@ -326,6 +326,13 @@ class TestPagerank:
         with pytest.raises(ColumnStochasticityError):
             pagerank_limit(np.array([[0.0, 0.3], [0.2, 0.0]]))
 
+    def test_rejects_negative_entry(self):
+        with pytest.raises(NegativeEntryError):
+            pagerank_limit(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    def test_empty_matrix_gives_empty(self):
+        assert pagerank_limit(np.zeros((0, 0))).shape == (0, 0)
+
     def test_rejects_bad_p(self):
         for p in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):

@@ -155,6 +155,12 @@ class TestRoundTrip:
         )
         assert reloaded == net
 
+    def test_carriage_return_in_name_round_trips(self, tmp_path):
+        # a lone \r must be quoted, or a reader takes it for a line end
+        records = [CountryRecord("AAA", "Alpha\rBeta", 1.0, 1.0, 1.0)]
+        save_countries(records, tmp_path / "c.csv")
+        assert load_countries(tmp_path / "c.csv") == records
+
 
 # first fault of a flows file: the earliest line wins; within a line, field
 # count, self-flow, duplicate pair, exports, then imports
@@ -350,6 +356,9 @@ COUNTRY_FAULTS = {
     "field count after duplicate across blocks": (
         ["AAA,A,1,1,1", "BBB,B,1,1,1", "CCC,C,1,1,1", "AAA,D,1,1,1", "AAA"],
         DuplicateCountryError, 5, "line 2"),
+    "duplicate name before later negative": (
+        ["AAA,Alpha,1,1,1", "BBB,Beta,1,1,1", "CCC,Alpha,1,1,1", "DDD,Beta,-1,1,1"],
+        DuplicateCountryError, 4, "name 'Alpha' already defined on line 2"),
 }
 
 

@@ -43,7 +43,7 @@ class TestRecords:
             CountryRecord(code, "Alpha", 1.0, 1.0, 1.0)
 
     def test_flow_rejects_self_trade(self):
-        with pytest.raises(SelfFlowError):
+        with pytest.raises(SelfFlowError, match=r"flow \(AAA, AAA\) is a self-flow"):
             BilateralFlow("AAA", "AAA", 1.0, 2.0)
 
     def test_flow_rejects_empty_trade(self):
@@ -75,6 +75,11 @@ class TestBuildNetwork:
     def test_duplicate_code_rejected(self):
         dup = CountryRecord("AAA", "Other", 1.0, 1.0, 1.0)
         with pytest.raises(DuplicateCountryError, match="AAA"):
+            build_network(make_countries() + [dup], [])
+
+    def test_duplicate_name_rejected(self):
+        dup = CountryRecord("DDD", "Beta", 1.0, 1.0, 1.0)
+        with pytest.raises(DuplicateCountryError, match="country name 'Beta' shared by BBB and DDD"):
             build_network(make_countries() + [dup], [])
 
     def test_unknown_flow_code_rejected(self):
@@ -164,6 +169,10 @@ class TestInfluenceMatrix:
     def test_direct_requires_zero_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             InfluenceMatrix(("AAA", "BBB"), np.identity(2), MatrixKind.direct_trade())
+
+    def test_rejects_repeated_labels(self):
+        with pytest.raises(ValueError, match="labels must be unique"):
+            InfluenceMatrix(("AAA", "AAA"), np.zeros((2, 2)), MatrixKind.indirect("pwp"))
 
     def test_indirect_diagonal_unconstrained(self):
         m = InfluenceMatrix(("AAA", "BBB"), np.identity(2), MatrixKind.indirect("pwp"))

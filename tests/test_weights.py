@@ -82,6 +82,10 @@ class TestPairwiseEdgeCases:
         with pytest.raises(ValueError):
             trade_influence(us_china_network, "USA", "USA")
 
+    def test_same_country_rejected_for_offer(self, us_china_network):
+        with pytest.raises(ValueError, match="undefined for a country on itself"):
+            offer_influence(us_china_network, "USA", "USA")
+
     def test_unknown_code(self, us_china_network):
         with pytest.raises(UnknownCountryError):
             trade_influence(us_china_network, "USA", "XXX")
