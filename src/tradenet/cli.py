@@ -38,7 +38,7 @@ import numpy as np
 
 from . import analytics
 from .engine import MethodSpec
-from .errors import MalformedRowError, TradeNetError
+from .errors import DuplicateCountryError, MalformedRowError, TradeNetError
 from .ingestion import DatasetManifest, csv_blocks, csv_line, load_network, write_lines
 from .model import InfluenceMatrix, MatrixKind, TradeNetwork
 from .weights import WeightKind, build_direct_matrix
@@ -102,16 +102,32 @@ def _write_ranking(
 
 
 def _read_ranking(path: Path) -> dict[str, int]:
-    """Country -> rank map from a ranking file written by ``rank`` (CSV or JSON)."""
+    """Country -> rank map from a ranking file written by ``rank`` (CSV or JSON).
+
+    A code listed twice raises :class:`DuplicateCountryError` naming both
+    rows: by line in a CSV file, by index in the ``rows`` of a JSON file.
+    """
     if path.suffix == ".json":
         try:
             rows = json.loads(path.read_text(encoding="utf-8-sig"))["rows"]
-            return {row["code"]: int(row["rank"]) for row in rows}
+            entries = [(row["code"], int(row["rank"])) for row in rows]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedRowError(f"{path}: not a ranking file ({exc})") from None
-    ranks = {}
+        firsts: dict[str, int] = {}
+        for i, (code, _) in enumerate(entries):
+            first = firsts.setdefault(code, i)
+            if first != i:
+                raise DuplicateCountryError(
+                    f"{path}: rows[{i}]: code {code} already defined in rows[{first}]"
+                )
+        return dict(entries)
+    ranks: dict[str, int] = {}
+    lines_of: dict[str, int] = {}  # code -> line defining it
     for lines, (codes, cells) in csv_blocks(path, ("code", "rank")):
         for line, code, cell in zip(lines, codes, cells):
+            first = lines_of.setdefault(code, line)
+            if first != line:
+                raise DuplicateCountryError(f"{path}:{line}: code {code} already defined on line {first}")
             try:
                 ranks[code] = int(cell)
             except ValueError:

@@ -17,6 +17,10 @@ line and :func:`write_lines` writes any file, as UTF-8 with ``\\n`` line ends.
 Flows are read in blocks of rows straight into the columns of a
 :class:`~tradenet.model.FlowTable`, which :func:`~tradenet.model.flow_fault`
 checks as whole columns; ingestion adds only what the file knows (lines).
+A clean flows file is read by numpy's C parser (``np.loadtxt``).  A file
+that parser might read otherwise than :mod:`csv` does, and any faulty file,
+goes to the block parser over :func:`csv_blocks`, which writes every flow
+error: messages, line numbers and fault order are the block parser's alone.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import csv
 import logging
 import math
 import re
+import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -54,8 +59,17 @@ FLOW_COLUMNS = ("reporter", "partner", "exports", "imports")
 
 _SPECIAL = re.compile('[,"\n\r]')  # a cell holding one of these is quoted
 
-# rows held as Python lists at once; bounds the parser's memory on large files
+# rows read at once, by the block parser and by the flows fast path; bounds
+# their memory on large files (np.loadtxt allocates max_rows rows up front)
 _BLOCK_ROWS = 32_768
+
+# width of the fast path's code strings; a padded code fits, a cell this wide may be cut short
+_CODE_WIDTH = 8
+
+# bytes the fast path leaves to the block parser: numpy reads quotes unlike csv,
+# a fixed-width string drops a trailing NUL, and numpy skips the separators
+# \x1c-\x1f around a number, where float() rejects them
+_DEFER_BYTES = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def csv_blocks(path: str | Path, columns: tuple[str, ...]):
@@ -152,7 +166,84 @@ def load_flows(path: str | Path) -> FlowTable:
     line the checks run in this order: field count, self-flow, pair already
     on an earlier line (named in the message), exports, imports.  An amount
     that is not a finite number raises :class:`MalformedRowError`.
+
+    A clean file is read by numpy's C parser (:func:`_read_flows_fast`).  Any
+    file it cannot read to the block parser's table, faulty files included,
+    goes to the block parser (:func:`_read_flows_blocks`), which writes
+    every error, so messages, lines and fault order do not depend on the path.
     """
+    table, reason = _read_flows_fast(path)
+    if table is not None and flow_fault(table) is not None:
+        table, reason = None, "faulty row"
+    if table is None:
+        logger.debug("%s: block parser used (%s)", path, reason)
+        table = _read_flows_blocks(path)
+    trading = (table.exports != 0) | (table.imports != 0)
+    dropped = len(trading) - int(trading.sum())
+    if dropped:
+        logger.info("%s: dropped %d zero-trade row(s)", path, dropped)
+    return table.take(trading)
+
+
+def _read_flows_fast(path: str | Path) -> tuple[FlowTable | None, str]:
+    """The flows file read by ``np.loadtxt``, or ``None`` and why the block parser must read it.
+
+    Rows are read in blocks of ``_BLOCK_ROWS``, as the block parser reads
+    them, so new codes join the table's codes in its order: block by block,
+    reporter column before partner column, in order of first appearance.
+    A table is returned only when it equals the block parser's, faulty rows
+    included.  So the file must hold none of ``_DEFER_BYTES`` (a quote, a
+    NUL, ``\\x1c``-``\\x1f``), and no code cell may fill ``_CODE_WIDTH``
+    characters (it may have been cut short).  A row the C parser rejects,
+    such as one with another field count, a row of empty cells or an amount
+    it does not read (``float`` reads ``1_000``), sends the file to the
+    block parser too.
+    """
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            if any(byte in chunk for byte in _DEFER_BYTES):
+                return None, "quote, NUL or \\x1c-\\x1f character"
+    index: dict[str, int] = {}  # code -> position in the table's codes
+    raw: dict[str, int] = {}  # cell as written -> index of its stripped code
+    codes, amounts = [], []  # per block: (reporter, partner) indices, (exports, imports)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle, warnings.catch_warnings():
+            # numpy warns of each blank line and of an empty last block
+            warnings.simplefilter("ignore", UserWarning)
+            header = [h.strip() for h in next(csv.reader(handle), ())]
+            if not set(FLOW_COLUMNS) <= set(header):
+                return None, "missing column or empty file"
+            # every column is read, so a row with another field count fails
+            kinds = dict(zip(FLOW_COLUMNS, (f"U{_CODE_WIDTH}",) * 2 + (float,) * 2))
+            dtype = [(f"c{i}", kinds.get(name, "U1")) for i, name in enumerate(header)]
+            fields = [f"c{header.index(name)}" for name in FLOW_COLUMNS]
+            while True:
+                block = np.loadtxt(
+                    handle, dtype, comments=None, delimiter=",", quotechar=None,
+                    max_rows=_BLOCK_ROWS, ndmin=1,
+                )
+                cells, first, inverse = np.unique(
+                    np.concatenate([block[field] for field in fields[:2]]),
+                    return_index=True, return_inverse=True,
+                )
+                cells = cells.tolist()
+                for i in np.argsort(first).tolist():
+                    if cells[i] not in raw:
+                        raw[cells[i]] = index.setdefault(cells[i].strip(), len(index))
+                codes.append(np.array([raw[cell] for cell in cells], np.intp)[inverse].reshape(2, -1))
+                amounts.append(np.array([block[field] for field in fields[2:]]))
+                if len(block) < _BLOCK_ROWS:
+                    break
+    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError included
+        return None, f"{type(exc).__name__}: {exc}"
+    if max(map(len, raw), default=0) >= _CODE_WIDTH:
+        return None, f"code cell of {_CODE_WIDTH} or more characters"
+    reporter, partner = np.concatenate(codes, axis=1)
+    return FlowTable(tuple(index), reporter, partner, *np.concatenate(amounts, axis=1)), ""
+
+
+def _read_flows_blocks(path: str | Path) -> FlowTable:
+    """The flows file read by :func:`csv_blocks`; raises the error of its first faulty line."""
     index: dict[str, int] = {}  # code -> position in the table's codes
     raw: dict[str, int] = {}  # cell as written -> index of its stripped code
     parts = {
@@ -195,12 +286,7 @@ def load_flows(path: str | Path) -> FlowTable:
         raise cls(f"{path}:{line}: {error}{seen}")
     if pending is not None:
         raise pending
-
-    trading = (exports != 0) | (imports != 0)
-    dropped = len(trading) - int(trading.sum())
-    if dropped:
-        logger.info("%s: dropped %d zero-trade row(s)", path, dropped)
-    return table.take(trading)
+    return table
 
 
 def csv_line(cells: Sequence[str], end: str = "\n") -> str:

@@ -379,6 +379,30 @@ class TestCompareCommand:
         assert main(["compare", str(tmp_path / name), str(tmp_path / name)]) == 1
         assert re.search(rf"^error \[ingestion\] .*{message}", capsys.readouterr().err)
 
+    @pytest.mark.parametrize(
+        ("name", "text", "message"),
+        [
+            (
+                "r.csv",
+                "code,name,value,rank\nBBB,Beta,0.3,2\nAAA,Alpha,0.7,3\nAAA,Alpha,0.9,1\n",
+                "r.csv:4: code AAA already defined on line 3",
+            ),
+            (
+                "r.json",
+                json.dumps({"rows": [
+                    {"code": "BBB", "rank": 2}, {"code": "AAA", "rank": 3}, {"code": "AAA", "rank": 1},
+                ]}),
+                "r.json: rows[2]: code AAA already defined in rows[1]",
+            ),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_repeated_code_exits_one_naming_both_rows(self, tmp_path, capsys, name, text, message):
+        # the later row used to win, so this file compared as distance 0
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main(["compare", str(tmp_path / name), str(tmp_path / name)]) == 1
+        assert capsys.readouterr().err == f"error [ingestion] {tmp_path / message}\n"
+
     def test_domain_mismatch_exits_one(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -1,10 +1,11 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from tradenet import (
@@ -22,6 +23,8 @@ from tradenet import (
     subset,
 )
 from tradenet import ingestion
+from tradenet.ingestion import FLOW_COLUMNS
+from tradenet.model import flow_fault
 from tradenet.errors import (
     DuplicateCountryError,
     DuplicateFlowError,
@@ -329,6 +332,149 @@ class TestFlowOracle:
             reporter, partner = codes[2 * (line - 2) : 2 * (line - 2) + 2]
             with pytest.raises(error, match=rf"\({reporter}, {partner}\)"):
                 build_network(countries, table)
+
+
+# Flows files for the differential test: rows of distinct pairs in padded
+# cells (one more column, "note", when the header has it), then up to two odd
+# rows or cells the C parser and the csv module might read apart
+FUZZ_PAIRS = [
+    (a, b) for a in ("AAA", "BBB", "CCC", "DDD", "EE") for b in ("AAA", "BBB", "EE") if a != b
+]
+FUZZ_PAD = st.sampled_from(["", "", "", " ", "\t", "\xa0", "  "])
+FUZZ_AMOUNT = st.sampled_from(["0", "1", "2.5", " 3 ", "1e5", "-0", "+1", ".5", "5.", "4.9e-325"])
+FUZZ_ODD_ROWS = [[], ["", "", "", "", ""], [" ", "", "", "", ""], ["AAA", "BBB", "1"], [" "],
+                 ["AAA", "BBB", "1", "1", "x", "1"]]
+FUZZ_ODD_CELLS = (
+    ["AAAA", "ABCDEFGHIJ", "AAA     X", '"AAA"', '"E"', '"A,B"', '"A\nB"', "#AA", "A\x00", ""],
+    ["1_000", "nan", "inf", "-1", "abc", "1e400", "\u0661\u0662", "\uff11\uff12", '"7"', "",
+     "0x10", "1\xa0", "Infinity", "1\x0c", "1\x1c", "nan(1)", "1e", "1,5"],
+    ['"x', '"x,y"', "x\x00", "a b"],
+)
+
+
+FUZZ_PLAIN = dict(
+    order=(*FLOW_COLUMNS, "note"), extra=False, ends=["\n"], bom=False,
+    block_rows=ingestion._BLOCK_ROWS,
+)
+
+
+@st.composite
+def fuzz_rows(draw):
+    """Data rows as lists of cells: reporter, partner, exports, imports, note."""
+    pairs = draw(st.lists(st.sampled_from(FUZZ_PAIRS), unique=True, max_size=10))
+    rows = [
+        [draw(FUZZ_PAD) + code + draw(FUZZ_PAD) for code in pair]
+        + [draw(FUZZ_AMOUNT), draw(FUZZ_AMOUNT), "x"]
+        for pair in pairs
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows)))
+        if at == len(rows) or len(rows[at]) != 5 or draw(st.booleans()):
+            rows.insert(at, list(draw(st.sampled_from(FUZZ_ODD_ROWS))))
+        else:
+            column = draw(st.integers(0, 4))
+            rows[at][column] = draw(st.sampled_from(FUZZ_ODD_CELLS[(0, 0, 1, 1, 2)[column]]))
+    return rows
+
+
+def outcome(read, path):
+    """What ``read(path)`` returns, or its exception's class and message."""
+    try:
+        return read(path)
+    except Exception as exc:  # noqa: BLE001 - the outcome compared is the exception
+        return type(exc), str(exc)
+
+
+class TestFastPath:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rows=fuzz_rows(),
+        order=st.permutations((*FLOW_COLUMNS, "note")),
+        extra=st.booleans(),
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
+        bom=st.booleans(),
+        block_rows=st.sampled_from([2, 3, ingestion._BLOCK_ROWS]),
+    )
+    # one file per hazard: a NUL a fixed-width string drops, a separator numpy
+    # skips around a number, a code cell cut short, a "#" row, a quoted code,
+    # a quote opening a cell that runs to the end of the file, blank rows
+    # across blocks with lone \r line ends
+    @example(rows=[["A\x00", "BBB", "1", "1", "x"]], **FUZZ_PLAIN)
+    @example(rows=[["AAA", "BBB", "1\x1c", "0", "x"]], **FUZZ_PLAIN)
+    @example(rows=[["AAA     X", "BBB", "1", "1", "x"]], **FUZZ_PLAIN)
+    @example(rows=[["#AA", "BBB", "1", "1", "x"]], **FUZZ_PLAIN)
+    @example(rows=[['"E"', "BBB", "1", "1", "x"]], **FUZZ_PLAIN)
+    @example(
+        rows=[["AAA", "BBB", "1", "1", '"x'], ["BBB", "AAA", "1", "1", "x"]],
+        **{**FUZZ_PLAIN, "extra": True},
+    )
+    @example(
+        rows=[["AAA", "BBB", "1", "1", "x"], [], ["BBB", "AAA", "1", "1", "x"], [],
+              ["EE", "AAA", "0", "0", "x"]],
+        **{**FUZZ_PLAIN, "ends": ["\r"], "bom": True, "block_rows": 2},
+    )
+    def test_fast_path_reads_the_block_parsers_table_or_defers(
+        self, rows, order, extra, ends, bom, block_rows
+    ):
+        header = [c for c in order if extra or c != "note"]
+        position = {c: i for i, c in enumerate((*FLOW_COLUMNS, "note"))}
+        lines = [header] + [[r[position[c]] for c in header] if len(r) == 5 else r for r in rows]
+        text = "".join(",".join(cells) + ends[i % len(ends)] for i, cells in enumerate(lines))
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            ingestion, "_BLOCK_ROWS", block_rows
+        ):
+            path = Path(tmp) / "f.csv"
+            path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+            fast, reason = ingestion._read_flows_fast(path)
+            expected = outcome(ingestion._read_flows_blocks, path)
+            event(f"fast path: {reason.partition(':')[0] or 'table'}")
+            if fast is not None:
+                if flow_fault(fast) is None:
+                    assert fast == expected
+                else:  # the block parser raises the fault
+                    assert not isinstance(expected, FlowTable)
+            if isinstance(expected, FlowTable):
+                expected = expected.take((expected.exports != 0) | (expected.imports != 0))
+            assert outcome(load_flows, path) == expected
+
+    def test_clean_file_takes_the_fast_path(self, tmp_path, caplog):
+        path = write(tmp_path, "f.csv", FLOWS_HEADER + "AAA,BBB,1,1\nBBB,AAA,0,0\n")
+        with caplog.at_level("DEBUG", logger="tradenet.ingestion"):
+            load_flows(path)
+        assert "block parser" not in caplog.text
+
+    def test_deferral_names_its_reason(self, tmp_path, caplog):
+        path = write(tmp_path, "f.csv", FLOWS_HEADER + '"AAA",BBB,1,1\n')
+        with caplog.at_level("DEBUG", logger="tradenet.ingestion"):
+            load_flows(path)
+        reason = "quote, NUL or \\x1c-\\x1f character"
+        assert f"{path}: block parser used ({reason})" in caplog.messages
+
+    @pytest.mark.parametrize("block_rows", [4096, ingestion._BLOCK_ROWS])
+    def test_fast_path_peak_memory_within_block_parsers(self, tmp_path, monkeypatch, block_rows):
+        # ~50k rows: at 4096 rows a block, reading the whole file at once would
+        # more than double the fast path's peak and exceed the block parser's
+        monkeypatch.setattr(ingestion, "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(97)
+        codes = [code for code, _ in generated_pairs(224)]
+        pairs = [(a, b) for a in codes for b in codes if a != b]
+        amounts = rng.lognormal(10.0, 2.0, (len(pairs), 2)).tolist()
+        path = write(tmp_path, "f.csv", FLOWS_HEADER + "".join(
+            f"{a},{b},{x!r},{y!r}\n" for (a, b), (x, y) in zip(pairs, amounts)
+        ))
+
+        def peak() -> int:
+            tracemalloc.start()
+            try:
+                load_flows(path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert ingestion._read_flows_fast(path)[0] is not None
+        fast = peak()
+        monkeypatch.setattr(ingestion, "_read_flows_fast", lambda path: (None, "block parser"))
+        assert fast <= peak()
 
 
 # first fault of a countries file: the earliest line wins; within a line,
