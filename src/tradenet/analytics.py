@@ -92,10 +92,9 @@ class RankingReport:
     mean_dependence: float
     mean_influence: float
 
-    def positions(self, criterion: str | None = None) -> dict[str, int]:
+    def positions(self) -> dict[str, int]:
         """Country code -> rank position map, usable with ranking_distance."""
-        criterion = criterion or self.criterion
-        return {row.code: row.position(criterion) for row in self.rows}
+        return {row.code: row.position(self.criterion) for row in self.rows}
 
 
 def _degrees(m: InfluenceMatrix) -> tuple[np.ndarray, np.ndarray]:

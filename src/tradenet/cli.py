@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
 from collections.abc import Callable
@@ -101,37 +102,41 @@ def _write_ranking(
         write_lines(path, map(csv_line, cells))
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:  # not a bool, a float or a string of digits
+        raise ValueError(value)
+    return value
+
+
 def _read_ranking(path: Path) -> dict[str, int]:
     """Country -> rank map from a ranking file written by ``rank`` (CSV or JSON).
 
-    A code listed twice raises :class:`DuplicateCountryError` naming both
-    rows: by line in a CSV file, by index in the ``rows`` of a JSON file.
+    Rows are checked in file order.  A code listed twice raises
+    :class:`DuplicateCountryError` naming both rows, a rank that is not an
+    integer :class:`MalformedRowError`; a CSV row is named by its line, a
+    JSON row by its index in ``rows``.
     """
     if path.suffix == ".json":
         try:
             rows = json.loads(path.read_text(encoding="utf-8-sig"))["rows"]
-            entries = [(row["code"], int(row["rank"])) for row in rows]
+            entries = [(f"rows[{i}]", row["code"], row["rank"]) for i, row in enumerate(rows)]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedRowError(f"{path}: not a ranking file ({exc})") from None
-        firsts: dict[str, int] = {}
-        for i, (code, _) in enumerate(entries):
-            first = firsts.setdefault(code, i)
-            if first != i:
-                raise DuplicateCountryError(
-                    f"{path}: rows[{i}]: code {code} already defined in rows[{first}]"
-                )
-        return dict(entries)
+        at, defined, as_int = "{}: {}", "in {}", _json_int
+    else:  # lazily, so a repeated code is reported before a malformed row further down
+        blocks = csv_blocks(path, ("code", "rank"))
+        entries = (entry for lines, cells in blocks for entry in zip(lines, *cells))
+        at, defined, as_int = "{}:{}", "on line {}", int
     ranks: dict[str, int] = {}
-    lines_of: dict[str, int] = {}  # code -> line defining it
-    for lines, (codes, cells) in csv_blocks(path, ("code", "rank")):
-        for line, code, cell in zip(lines, codes, cells):
-            first = lines_of.setdefault(code, line)
-            if first != line:
-                raise DuplicateCountryError(f"{path}:{line}: code {code} already defined on line {first}")
-            try:
-                ranks[code] = int(cell)
-            except ValueError:
-                raise MalformedRowError(f"{path}:{line}: rank is not an integer: {cell!r}") from None
+    firsts: dict[str, object] = {}  # code -> row defining it
+    for row, code, rank in entries:
+        where, first = at.format(path, row), firsts.setdefault(code, row)
+        if first != row:
+            raise DuplicateCountryError(f"{where}: code {code} already defined {defined.format(first)}")
+        try:
+            ranks[code] = as_int(rank)
+        except ValueError:
+            raise MalformedRowError(f"{where}: rank is not an integer: {rank!r}") from None
     return ranks
 
 
@@ -277,6 +282,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command != "compare":
         try:
             method = MethodSpec(args.method, lam=args.lam, k=args.k, p=args.p)
+            if not math.isfinite(getattr(args, "min_weight", 0.0)):
+                raise ValueError(f"min-weight must be finite, got {args.min_weight}")
             region = None
             if args.region:
                 region = tuple(code.strip() for code in args.region.split(",") if code.strip())

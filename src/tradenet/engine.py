@@ -73,10 +73,10 @@ def _unpack(m) -> tuple[np.ndarray, InfluenceMatrix | None]:
     return np.array(_square_array(m)), None
 
 
-def _pack(source: InfluenceMatrix | None, values: np.ndarray, kind: MatrixKind):
+def _pack(source: InfluenceMatrix | None, values: np.ndarray, kind: MatrixKind | None = None):
     if source is None:
         return values
-    return source.with_values(values, kind)
+    return InfluenceMatrix(source.labels, values, kind or source.kind)
 
 
 def _check_lambda(lam) -> None:
@@ -212,8 +212,7 @@ def column_normalize(direct):
     out = values.copy()
     nonzero = sums > 0
     out[:, nonzero] = values[:, nonzero] / sums[nonzero]
-    kind = source.kind if source is not None else None
-    return _pack(source, out, kind)
+    return _pack(source, out)
 
 
 def pagerank_limit(direct, p: float = 0.86):

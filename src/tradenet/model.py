@@ -168,10 +168,12 @@ class FlowTable:
     exports: np.ndarray
     imports: np.ndarray
 
+    # column name -> dtype, in field order (not annotated, so not a field)
+    _DTYPES = {"reporter": np.intp, "partner": np.intp, "exports": float, "imports": float}
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "codes", tuple(self.codes))
-        dtypes = {"reporter": np.intp, "partner": np.intp, "exports": float, "imports": float}
-        for name, dtype in dtypes.items():
+        for name, dtype in self._DTYPES.items():
             column = np.asarray(getattr(self, name), dtype=dtype).view()
             column.setflags(write=False)
             object.__setattr__(self, name, column)
@@ -192,16 +194,14 @@ class FlowTable:
 
     def __iter__(self):
         codes = self.codes
-        columns = (self.reporter, self.partner, self.exports, self.imports)
-        for r, p, e, i in zip(*(column.tolist() for column in columns)):
+        for r, p, e, i in zip(*(getattr(self, name).tolist() for name in self._DTYPES)):
             yield BilateralFlow(codes[r], codes[p], e, i)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlowTable):
             return NotImplemented
         return self.codes == other.codes and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("reporter", "partner", "exports", "imports")
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self._DTYPES
         )
 
     @property
@@ -211,8 +211,7 @@ class FlowTable:
 
     def take(self, rows) -> FlowTable:
         """The rows picked by a boolean mask or an index array, in that order."""
-        columns = (self.reporter, self.partner, self.exports, self.imports)
-        return FlowTable(self.codes, *(column[rows] for column in columns))
+        return FlowTable(self.codes, *(getattr(self, name)[rows] for name in self._DTYPES))
 
 
 def flow_fault(table: FlowTable) -> tuple[int, Exception] | None:
@@ -463,10 +462,6 @@ class InfluenceMatrix:
     def entry(self, a: str, b: str) -> float:
         """Influence of ``b`` on ``a`` (dependence of ``a`` on ``b``)."""
         return float(self.values[self.index(a), self.index(b)])
-
-    def with_values(self, values: np.ndarray, kind: MatrixKind) -> "InfluenceMatrix":
-        """Same labels, new values and kind."""
-        return InfluenceMatrix(self.labels, values, kind)
 
 
 class BiDegree(NamedTuple):

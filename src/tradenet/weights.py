@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from .errors import ConsistencyWarning, IsolatedCountryError, ZeroOfferDenominatorError
-from .model import InfluenceMatrix, MatrixKind, TradeNetwork
+from .model import CountryRecord, InfluenceMatrix, MatrixKind, TradeNetwork
 
 __all__ = ["WeightKind", "trade_influence", "offer_influence", "build_direct_matrix"]
 
@@ -49,6 +49,25 @@ class WeightKind(enum.Enum):
         return MatrixKind.direct_offer()
 
 
+def _denominator(rec: CountryRecord, kind: WeightKind) -> float:
+    """What ``kind`` divides a row of ``rec``'s country by: its total trade or its offer."""
+    return rec.total_trade if kind is WeightKind.TRADE else rec.offer
+
+
+def _influence(network: TradeNetwork, a: str, b: str, kind: WeightKind) -> float:
+    """Entry ``[a, b]`` of :func:`build_direct_matrix`, raising where that row is left at zero."""
+    if a == b:
+        raise ValueError(f"{kind.value} influence is undefined for a country on itself")
+    rec = network.country(a)
+    network.country(b)
+    denom = _denominator(rec, kind)
+    if denom == 0:
+        if kind is WeightKind.TRADE:
+            raise IsolatedCountryError(f"{a} declares no international trade")
+        raise ZeroOfferDenominatorError(f"{a} has zero GDP + imports")
+    return network.reported_trade(a, b) / denom
+
+
 def trade_influence(network: TradeNetwork, a: str, b: str) -> float:
     """Share of ``a``'s international trade that involves ``b``.
 
@@ -60,14 +79,7 @@ def trade_influence(network: TradeNetwork, a: str, b: str) -> float:
     IsolatedCountryError
         If ``a`` declares zero total trade.
     """
-    if a == b:
-        raise ValueError("trade influence is undefined for a country on itself")
-    rec = network.country(a)
-    network.country(b)
-    denom = rec.total_trade
-    if denom == 0:
-        raise IsolatedCountryError(f"{a} declares no international trade")
-    return network.reported_trade(a, b) / denom
+    return _influence(network, a, b, WeightKind.TRADE)
 
 
 def offer_influence(network: TradeNetwork, a: str, b: str) -> float:
@@ -78,14 +90,7 @@ def offer_influence(network: TradeNetwork, a: str, b: str) -> float:
     ZeroOfferDenominatorError
         If ``a`` has GDP + imports = 0.
     """
-    if a == b:
-        raise ValueError("offer influence is undefined for a country on itself")
-    rec = network.country(a)
-    network.country(b)
-    denom = rec.offer
-    if denom == 0:
-        raise ZeroOfferDenominatorError(f"{a} has zero GDP + imports")
-    return network.reported_trade(a, b) / denom
+    return _influence(network, a, b, WeightKind.OFFER)
 
 
 def _warn(count: int, problem: str) -> None:
@@ -120,10 +125,7 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
     flows = network.flows
     totals = flows.totals
     reported = np.bincount(flows.reporter, weights=totals, minlength=network.n)
-    denoms = np.array(
-        [rec.total_trade if kind is WeightKind.TRADE else rec.offer for rec in network.countries],
-        dtype=float,
-    )
+    denoms = np.array([_denominator(rec, kind) for rec in network.countries], dtype=float)
 
     undivided = np.flatnonzero((denoms == 0) & (reported > 0))
     if len(undivided):

@@ -403,6 +403,24 @@ class TestCompareCommand:
         assert main(["compare", str(tmp_path / name), str(tmp_path / name)]) == 1
         assert capsys.readouterr().err == f"error [ingestion] {tmp_path / message}\n"
 
+    @pytest.mark.parametrize(("rank", "shown"), [(2.7, "2.7"), (True, "True"), ("1", "'1'")])
+    def test_json_rank_must_be_an_integer(self, tmp_path, capsys, rank, shown):
+        # int() used to truncate 2.7 to 2 and read true as 1
+        a = tmp_path / "r.json"
+        a.write_text(json.dumps({"rows": [{"code": "AAA", "rank": rank}, {"code": "BBB", "rank": 2}]}))
+        b = tmp_path / "b.csv"
+        b.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,2\n")
+        assert main(["compare", str(a), str(b)]) == 1
+        message = f"{a}: rows[0]: rank is not an integer: {shown}"
+        assert capsys.readouterr().err == f"error [ingestion] {message}\n"
+
+    def test_csv_repeated_code_is_reported_before_a_later_malformed_row(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nAAA,Alpha,0.3,2\nBBB,Beta\n")
+        assert main(["compare", str(path), str(path)]) == 1
+        message = f"{path}:3: code AAA already defined on line 2"
+        assert capsys.readouterr().err == f"error [ingestion] {message}\n"
+
     def test_domain_mismatch_exits_one(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -436,6 +454,16 @@ class TestExportDot:
         capsys.readouterr()
         assert main(["matrix", *argv]) == 1
         assert "[engine]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_a_usage_error(self, tmp_path, us_china_files, capsys, threshold):
+        # nan fails every >= comparison, so it used to write a graph without edges
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["export-dot", *dataset_args(*us_china_files, out, f"--min-weight={threshold}")])
+        assert exc.value.code == 2
+        assert f"min-weight must be finite, got {threshold}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("threshold", [0.0, 0.01, 0.05])
     def test_edge_count_matches_entry_count(self, tmp_path, triangle_network, threshold):
