@@ -89,8 +89,6 @@ class RankingReport:
     matrix_kind: str
     criterion: str
     rows: tuple[RankingRow, ...]
-    mean_dependence: float
-    mean_influence: float
 
     def positions(self) -> dict[str, int]:
         """Country code -> rank position map, usable with ranking_distance."""
@@ -151,13 +149,7 @@ def rank(m: InfluenceMatrix, criterion: str = "influence") -> RankingReport:
         for i, code in enumerate(m.labels)
     ]
     rows.sort(key=lambda row: row.position(criterion))
-    return RankingReport(
-        matrix_kind=str(m.kind),
-        criterion=criterion,
-        rows=tuple(rows),
-        mean_dependence=float(dep.mean()),
-        mean_influence=float(inf.mean()),
-    )
+    return RankingReport(matrix_kind=str(m.kind), criterion=criterion, rows=tuple(rows))
 
 
 def pair_connectedness(m: InfluenceMatrix, a: str, b: str) -> float:

@@ -48,6 +48,8 @@ __all__ = ["write_matrix_csv", "read_matrix_csv", "main"]
 
 # output file name -> function writing that file at the path it is given
 Writers = dict[str, Callable[[Path], None]]
+# every number in a result file or a compare report: 12 significant digits
+_NUMBER = "%.12g"
 
 
 class StageFailure(Exception):
@@ -62,7 +64,7 @@ def _run_stage(stage: str, fn, *args, **kwargs):
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+    return _NUMBER % value
 
 
 # --- file writers ----------------------------------------------------------
@@ -70,7 +72,7 @@ def _fmt(value: float) -> str:
 
 def write_matrix_csv(matrix: InfluenceMatrix, path: Path) -> None:
     """Matrix as CSV: codes on the first row and column, 12 significant digits."""
-    numbers = ",%.12g" * matrix.n + "\n"  # numbers never need quoting
+    numbers = f",{_NUMBER}" * matrix.n + "\n"  # numbers never need quoting
     rows = zip(matrix.labels, matrix.values.tolist())
     lines = (csv_line((code,), numbers % tuple(row)) for code, row in rows)
     write_lines(path, chain((csv_line(("code", *matrix.labels)),), lines))
@@ -90,15 +92,15 @@ def _write_ranking(
 ) -> None:
     criterion, columns = report.criterion, ("code", "name", "value", "rank")
     rows = [
-        (row.code, network.country(row.code).name, row.value(criterion), row.position(criterion))
-        for row in report.rows
+        (r.code, network.country(r.code).name, _fmt(r.value(criterion)), r.position(criterion))
+        for r in report.rows
     ]
     if fmt == "json":
-        entries = [dict(zip(columns, row)) for row in rows]
+        entries = [dict(zip(columns, (c, n, float(v), r))) for c, n, v, r in rows]
         payload = {"criterion": criterion, "matrix": report.matrix_kind, "rows": entries}
         write_lines(path, (json.dumps(payload, indent=2), "\n"))
     else:
-        cells = [columns] + [(c, n, _fmt(v), str(r)) for c, n, v, r in rows]
+        cells = [columns] + [(c, n, v, str(r)) for c, n, v, r in rows]
         write_lines(path, map(csv_line, cells))
 
 
@@ -130,8 +132,10 @@ def _read_ranking(path: Path) -> dict[str, int]:
     ranks: dict[str, int] = {}
     firsts: dict[str, object] = {}  # code -> row defining it
     for row, code, rank in entries:
-        where, first = at.format(path, row), firsts.setdefault(code, row)
-        if first != row:
+        where = at.format(path, row)
+        if type(code) is not str:  # a JSON number, list or object
+            raise MalformedRowError(f"{where}: code is not a string: {code!r}")
+        if (first := firsts.setdefault(code, row)) != row:
             raise DuplicateCountryError(f"{where}: code {code} already defined {defined.format(first)}")
         try:
             ranks[code] = as_int(rank)
@@ -141,39 +145,37 @@ def _read_ranking(path: Path) -> dict[str, int]:
 
 
 # --- commands ----------------------------------------------------------------
-# Each takes the parsed arguments, the network, its direct matrix and the
-# MethodSpec, runs its own engine and analytics stages and returns its output
-# files; main writes them in the io stage.  write_matrix_csv is looked up when
-# a file is written, so a replacement installed on this module is called.
+# Each takes the parsed arguments, the network, its direct matrix and its
+# indirect matrix (None for export-dot) and returns its output files; main
+# runs it in the analytics stage and writes the files in the io stage.
+# write_matrix_csv is looked up when a file is written, so a replacement
+# installed on this module is called.
 
-def _matrix(args, network, direct, method) -> Writers:
+def _matrix(args, network, direct, indirect) -> Writers:
     """``direct_<weight>.csv`` and ``indirect_<weight>_<method>.csv``."""
-    indirect = _run_stage("engine", method.apply, direct)
     return {
         f"direct_{args.weight}.csv": lambda path: write_matrix_csv(direct, path),
-        f"indirect_{args.weight}_{method.method}.csv":
+        f"indirect_{args.weight}_{args.method}.csv":
             lambda path: write_matrix_csv(indirect, path),
     }
 
 
-def _rank(args, network, direct, method) -> Writers:
+def _rank(args, network, direct, indirect) -> Writers:
     """Ranking tables for the direct and the indirect matrix."""
-    indirect = _run_stage("engine", method.apply, direct)
-    direct_report = _run_stage("analytics", analytics.rank, direct, args.criterion)
-    indirect_report = _run_stage("analytics", analytics.rank, indirect, args.criterion)
+    direct_report = analytics.rank(direct, args.criterion)
+    indirect_report = analytics.rank(indirect, args.criterion)
     weight, criterion, ext = args.weight, args.criterion, args.format
     return {
         f"ranking_direct_{weight}_{criterion}.{ext}":
             lambda path: _write_ranking(direct_report, network, path, ext),
-        f"ranking_indirect_{weight}_{method.method}_{criterion}.{ext}":
+        f"ranking_indirect_{weight}_{args.method}_{criterion}.{ext}":
             lambda path: _write_ranking(indirect_report, network, path, ext),
     }
 
 
-def _plane(args, network, direct, method) -> Writers:
+def _plane(args, network, direct, indirect) -> Writers:
     """The dependence-influence plane of the indirect matrix."""
-    indirect = _run_stage("engine", method.apply, direct)
-    points = _run_stage("analytics", analytics.plane, indirect)
+    points = analytics.plane(indirect)
     d_mean = sum(p.dependence for p in points) / len(points)
     f_mean = sum(p.influence for p in points) / len(points)
     rows = [("code", "dependence", "influence", "sector")] + [
@@ -181,10 +183,10 @@ def _plane(args, network, direct, method) -> Writers:
     ]
     lines = [f"# mean_dependence={_fmt(d_mean)} mean_influence={_fmt(f_mean)}\n"]
     lines += map(csv_line, rows)
-    return {f"plane_{args.weight}_{method.method}.csv": lambda path: write_lines(path, lines)}
+    return {f"plane_{args.weight}_{args.method}.csv": lambda path: write_lines(path, lines)}
 
 
-def _export_dot(args, network, direct, method) -> Writers:
+def _export_dot(args, network, direct, indirect) -> Writers:
     """The direct network as a DOT digraph; the engine does not run.
 
     One node per country; one edge per nonzero direct entry at or above
@@ -297,9 +299,11 @@ def main(argv: list[str] | None = None) -> int:
                 lines = _compare(Path(args.ranking_a), Path(args.ranking_b))
             else:
                 network = _run_stage("ingestion", load_network, manifest)
-                weight = WeightKind(args.weight)
-                direct = _run_stage("weights", build_direct_matrix, network, weight)
-                writers = COMMANDS[args.command](args, network, direct, method)
+                direct = _run_stage("weights", build_direct_matrix, network, WeightKind(args.weight))
+                run_engine = args.command != "export-dot"
+                indirect = _run_stage("engine", method.apply, direct) if run_engine else None
+                command = COMMANDS[args.command]
+                writers = _run_stage("analytics", command, args, network, direct, indirect)
                 out = Path(args.out)
                 _run_stage("io", _write_files, out, writers)
                 lines = [f"wrote {out / name}" for name in writers]

@@ -26,8 +26,9 @@ the scaling needs more than ``_MAX_SQUARINGS`` squarings and raises
 Each operator accepts an :class:`~tradenet.model.InfluenceMatrix` (returning
 one with kind ``indirect`` and the operator's parameters) or a plain square
 array (returning an array).  All are pure, deterministic functions of their
-inputs.  :class:`MethodSpec` is the registry of operator names the command
-line offers.
+inputs.  A result that is not finite (``micmac`` at a large ``k``, say)
+raises :class:`OverflowError`.  :class:`MethodSpec` is the registry of
+operator names the command line offers.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ def _unpack(m) -> tuple[np.ndarray, InfluenceMatrix | None]:
 
 
 def _pack(source: InfluenceMatrix | None, values: np.ndarray, kind: MatrixKind | None = None):
+    # every operator's result passes here, so none returns inf or nan
+    if not np.all(np.isfinite(values)):
+        raise OverflowError("result overflowed the floating-point range")
     if source is None:
         return values
     return InfluenceMatrix(source.labels, values, kind or source.kind)
@@ -125,7 +129,7 @@ def _damped_expm1(a: np.ndarray, s: float) -> np.ndarray:
     term = scaled
     result = scaled.copy()
     terms = 1
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow reported below
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reported by _pack
         while (term_norm := np.abs(term).max()) > _SERIES_TOLERANCE * np.abs(result).max():
             if terms == _TAYLOR_TERM_CAP:
                 raise ConvergenceError(
@@ -144,9 +148,6 @@ def _damped_expm1(a: np.ndarray, s: float) -> np.ndarray:
             result *= 2.0 * math.exp(-c)
             result += square
             c *= 2.0
-
-    if not np.all(np.isfinite(result)):
-        raise OverflowError("matrix exponential overflowed the floating-point range")
     return result
 
 
@@ -168,7 +169,7 @@ def matrix_exponential(m) -> np.ndarray:
     """
     out = _damped_expm1(_square_array(m), 0.0)
     out.flat[:: len(out) + 1] += 1.0
-    return out
+    return _pack(None, out)
 
 
 def pwp(direct, lam: float = 1.0):
@@ -195,7 +196,8 @@ def micmac(direct, k: int = 4):
     """Indirect influences as the ``k``-th matrix power: paths of length ``k``."""
     _check_k(k)
     values, source = _unpack(direct)
-    out = np.linalg.matrix_power(values, int(k))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reported by _pack
+        out = np.linalg.matrix_power(values, int(k))
     return _pack(source, out, MatrixKind.indirect("micmac", k=k))
 
 
@@ -209,10 +211,8 @@ def column_normalize(direct):
     if values.size and values.min() < 0:
         raise NegativeEntryError("column normalization requires non-negative entries")
     sums = values.sum(axis=0)
-    out = values.copy()
-    nonzero = sums > 0
-    out[:, nonzero] = values[:, nonzero] / sums[nonzero]
-    return _pack(source, out)
+    np.divide(values, sums, out=values, where=sums > 0)  # a private copy, divided in place
+    return _pack(source, values)
 
 
 def pagerank_limit(direct, p: float = 0.86):

@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tradenet
 from tradenet import (
@@ -25,6 +30,7 @@ from tradenet import (
 )
 from tradenet.analytics import plane as analytics_plane
 from tradenet.cli import main, read_matrix_csv, write_matrix_csv
+from tradenet.engine import MethodSpec
 
 from conftest import (
     TRIANGLE_COUNTRIES,
@@ -228,6 +234,20 @@ class TestRankCommand:
         assert payload["criterion"] == "influence"
         assert [row["rank"] for row in payload["rows"]] == [1, 2]
 
+    @pytest.mark.parametrize("method", sorted(MethodSpec.METHODS))
+    def test_json_values_are_the_csv_numbers(self, tmp_path, method):
+        # JSON used to carry up to 17 significant digits, CSV 12
+        net = synthetic_network(generated_pairs(6), np.random.default_rng(102), density=0.7)
+        files = write_dataset(tmp_path, net)
+        out = tmp_path / "out"
+        for fmt in ("csv", "json"):
+            assert main(["rank", *dataset_args(*files, out, "--method", method, "--format", fmt)]) == 0
+        for stem in ("ranking_direct_trade", f"ranking_indirect_trade_{method}"):
+            with open(out / f"{stem}_influence.csv", newline="") as fh:
+                expected = [float(row["value"]) for row in csv.DictReader(fh)]
+            payload = json.loads((out / f"{stem}_influence.json").read_text())
+            assert [row["value"] for row in payload["rows"]] == expected
+
     def test_pagerank_prints_only_written_paths(self, tmp_path, us_china_files, capsys):
         out = tmp_path / "out"
         assert main(["rank", *dataset_args(*us_china_files, out, "--method", "pagerank")]) == 0
@@ -421,6 +441,18 @@ class TestCompareCommand:
         message = f"{path}:3: code AAA already defined on line 2"
         assert capsys.readouterr().err == f"error [ingestion] {message}\n"
 
+    @pytest.mark.parametrize(("code", "shown"), [(["A"], "['A']"), ({"A": 1}, "{'A': 1}"), (5, "5")])
+    def test_json_code_must_be_a_string(self, tmp_path, capsys, code, shown):
+        # a list or an object used to end in a TypeError traceback, a number in
+        # an analytics error about the two rankings' countries
+        a = tmp_path / "r.json"
+        a.write_text(json.dumps({"rows": [{"code": code, "rank": 1}, {"code": "BBB", "rank": 2}]}))
+        b = tmp_path / "b.csv"
+        b.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,2\n")
+        assert main(["compare", str(a), str(b)]) == 1
+        message = f"{a}: rows[0]: code is not a string: {shown}"
+        assert capsys.readouterr().err == f"error [ingestion] {message}\n"
+
     def test_domain_mismatch_exits_one(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -479,6 +511,20 @@ class TestExportDot:
 
 
 class TestContract:
+    @pytest.mark.parametrize("command", [["matrix"], ["rank", "--format", "json"], ["plane"]])
+    def test_overflowing_operator_exits_one_without_files(self, tmp_path, capsys, command):
+        # each trade row sums to 2, so D^2000 leaves the float range; micmac used
+        # to write inf and nan cells (NaN in JSON) and exit 0
+        countries = [CountryRecord(code, code, 100.0, 10.0, 10.0) for code in ("AAA", "BBB")]
+        flows = [BilateralFlow("AAA", "BBB", 20.0, 20.0), BilateralFlow("BBB", "AAA", 20.0, 20.0)]
+        files = write_dataset(tmp_path, build_network(countries, flows))
+        out = tmp_path / "out"
+        assert main([*command, *dataset_args(*files, out, "--method", "micmac", "--k", "2000")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1] == "error [engine] result overflowed the floating-point range"
+        assert all(line.startswith("ConsistencyWarning: ") for line in lines[:-1])
+        assert not out.exists()
+
     def test_matrix_outputs_are_byte_identical_across_runs(self, tmp_path, triangle_files):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -593,3 +639,90 @@ class TestContract:
         assert exc.value.code == 2
         assert "lambda must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# --- no traceback from any input ----------------------------------------------
+
+# a stage failure or a data warning; argparse's usage lines are checked apart
+STDERR_LINE = re.compile(r"error \[(ingestion|weights|engine|analytics|io)\] |ConsistencyWarning: ")
+PARAMETER_FLAG = {"lam": "--lambda", "k": "--k", "p": "--p"}
+EDIT_BYTE = st.sampled_from(list(b'0123456789.,-+eE"\r\n \x00\xefAUinf')) | st.integers(0, 255)
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+JSON_ROW = st.fixed_dictionaries({
+    "code": st.sampled_from(["A", "B"]) | JSON_VALUE,
+    "rank": st.sampled_from([1, 2]) | JSON_VALUE,
+})
+JSON_RANKING = JSON_VALUE | st.fixed_dictionaries({"rows": st.lists(JSON_ROW | JSON_VALUE, max_size=3)})
+CSV_RANKING = st.tuples(
+    st.sampled_from(["code,name,value,rank\n", "rank,code\n", ""]),
+    st.text(alphabet='AB12,."\r\n x-', max_size=40),
+).map("".join)
+
+
+def mutated(data: bytes):
+    """``data`` after one to four byte replacements, insertions or deletions."""
+
+    def apply(edits) -> bytes:
+        out = bytearray(data)
+        for at, how, byte in edits:
+            end = at if how == "insert" else at + 1
+            out[at:end] = b"" if how == "delete" else bytes([byte])
+        return bytes(out)
+
+    edit = st.tuples(st.integers(0, len(data)), st.sampled_from(["insert", "replace", "delete"]), EDIT_BYTE)
+    return st.lists(edit, min_size=1, max_size=4).map(apply)
+
+
+def assert_clean_exit(argv) -> None:
+    """``main`` returns 0 or 1, or argparse exits 2, and stderr holds only expected lines."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = stderr.getvalue().splitlines()
+    if code == 2:
+        assert lines[0].startswith("usage: ") and ": error: " in lines[-1], lines
+    else:
+        assert code in (0, 1)
+        assert all(STDERR_LINE.match(line) for line in lines), lines
+        assert (code == 1) == any(line.startswith("error [") for line in lines), lines
+
+
+class TestNoTraceback:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        mutate_flows=st.booleans(),
+        command=st.sampled_from([["matrix"], ["rank"], ["rank", "--format", "json"], ["plane"], ["export-dot"]]),
+        method=st.sampled_from(sorted(MethodSpec.METHODS)),
+        parameter=st.sampled_from([None, "0.5", "3", "0", "-1", "nan", "1e12", "x"]),
+        weight=st.sampled_from(["trade", "offer"]),
+    )
+    def test_mutated_dataset(self, data, mutate_flows, command, method, parameter, weight):
+        with tempfile.TemporaryDirectory() as tmp:
+            files = write_dataset(Path(tmp), build_network(TRIANGLE_COUNTRIES, TRIANGLE_FLOWS))
+            path = files[1 if mutate_flows else 0]
+            path.write_bytes(data.draw(mutated(path.read_bytes())))
+            argv = [*command, *dataset_args(*files, Path(tmp) / "out", "--method", method, "--weight", weight)]
+            if parameter is not None:
+                argv += [PARAMETER_FLAG[MethodSpec.METHODS[method][0]], parameter]
+            assert_clean_exit(argv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ranking=JSON_RANKING.map(lambda v: ("r.json", json.dumps(v))) | CSV_RANKING.map(lambda t: ("r.csv", t)),
+        first=st.booleans(),
+    )
+    def test_arbitrary_ranking(self, ranking, first):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, other = Path(tmp) / ranking[0], Path(tmp) / "other.csv"
+            path.write_bytes(ranking[1].encode())
+            other.write_text("code,name,value,rank\nA,Alpha,0.7,1\nB,Beta,0.3,2\n")
+            pair = (path, other) if first else (other, path)
+            assert_clean_exit(["compare", *map(str, pair)])

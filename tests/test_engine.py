@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,11 +251,24 @@ class TestMicmac:
         m = InfluenceMatrix(("AAA", "BBB"), NILPOTENT, MatrixKind.direct_trade())
         assert dict(micmac(m, 3).kind.params)["k"] == 3
 
+    @pytest.mark.parametrize("labelled", [False, True], ids=["array", "influence-matrix"])
+    def test_overflow_is_refused_without_warnings(self, labelled):
+        # every row sums to 2: D^2000 holds 2^2000 (inf) and inf * 0 (nan), which
+        # micmac used to return, with RuntimeWarnings from numpy
+        d = np.array([[0.0, 2.0], [2.0, 0.0]])
+        m = InfluenceMatrix(("AAA", "BBB"), d, MatrixKind.direct_trade()) if labelled else d
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="overflowed the floating-point range"):
+                micmac(m, 2000)
+
 
 class TestColumnNormalize:
     def test_direct_division(self):
-        out = column_normalize(np.array([[0.2, 0.0], [0.6, 0.0]]))
+        d = np.array([[0.2, 0.0], [0.6, 0.0]])
+        out = column_normalize(d)
         np.testing.assert_allclose(out[:, 0], [0.25, 0.75], rtol=1e-15)
+        assert d[1, 0] == 0.6  # the input is not divided
 
     def test_zero_column_left_zero(self):
         out = column_normalize(np.array([[0.0, 1.0], [0.0, 1.0]]))
