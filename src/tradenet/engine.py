@@ -61,17 +61,13 @@ _TAYLOR_TERM_CAP = 128  # unreachable for scaled norm <= 0.5; guards the loop
 _MAX_SQUARINGS = 32  # inputs needing more are refused with OverflowError
 
 
-def _square_array(m) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
+def _unpack(m) -> tuple[np.ndarray, InfluenceMatrix | None]:
+    """A private copy of ``m``'s values, which the operator may overwrite, and ``m`` if labelled."""
+    source = m if isinstance(m, InfluenceMatrix) else None
+    a = np.array(m if source is None else m.values, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def _unpack(m) -> tuple[np.ndarray, InfluenceMatrix | None]:
-    if isinstance(m, InfluenceMatrix):
-        return np.array(m.values), m
-    return np.array(_square_array(m)), None
+    return a, source
 
 
 def _pack(source: InfluenceMatrix | None, values: np.ndarray, kind: MatrixKind | None = None):
@@ -101,7 +97,7 @@ def _check_p(p) -> None:
 def _damped_expm1(a: np.ndarray, s: float) -> np.ndarray:
     """``e**-s * (exp(a) - I)`` by scaling and squaring, for a square array ``a``.
 
-    ``a`` is scaled by ``2**k`` so its 1-norm is at most 0.5.  The series
+    ``a`` is scaled in place by ``2**k`` so its 1-norm is at most 0.5.  The series
     ``x + x**2/2! + ...`` (``exp(x) - 1``, no constant term) is summed at
     ``a / 2**k`` until a term falls below unit roundoff times the largest
     entry of the sum, and the sum is multiplied by ``e**-c`` with
@@ -125,9 +121,9 @@ def _damped_expm1(a: np.ndarray, s: float) -> np.ndarray:
             f"matrix 1-norm {norm:g} needs {squarings} squarings (limit {_MAX_SQUARINGS})"
         )
 
-    scaled = a / 2.0**squarings
-    term = scaled
-    result = scaled.copy()
+    a /= 2.0**squarings  # in place: every caller passes a private copy
+    term = a
+    result = a.copy()
     terms = 1
     with np.errstate(over="ignore", invalid="ignore"):  # overflow reported by _pack
         while (term_norm := np.abs(term).max()) > _SERIES_TOLERANCE * np.abs(result).max():
@@ -137,7 +133,7 @@ def _damped_expm1(a: np.ndarray, s: float) -> np.ndarray:
                     f"(last term norm {term_norm:.3g})"
                 )
             terms += 1
-            term = term @ scaled
+            term = term @ a
             term /= terms
             result += term
         c = s / 2.0**squarings
@@ -167,9 +163,17 @@ def matrix_exponential(m) -> np.ndarray:
         If the required scaling exceeds ``_MAX_SQUARINGS`` or the result
         leaves the representable range.
     """
-    out = _damped_expm1(_square_array(m), 0.0)
+    out = _damped_expm1(_unpack(m)[0], 0.0)
     out.flat[:: len(out) + 1] += 1.0
     return _pack(None, out)
+
+
+def _kernel(direct, lam: float) -> tuple[np.ndarray, InfluenceMatrix | None]:
+    """The kernel ``e**-lam * (exp(lam*D) - I)`` that :func:`pwp` and :func:`heat_kernel` share."""
+    _check_lambda(lam)
+    values, source = _unpack(direct)
+    values *= lam  # a private copy: scaling in place saves one n x n array
+    return _damped_expm1(values, lam), source
 
 
 def pwp(direct, lam: float = 1.0):
@@ -184,10 +188,7 @@ def pwp(direct, lam: float = 1.0):
     Computed as ``e**-lam * (exp(lam*D) - I) / (1 - e**-lam)``, which never
     forms ``e**lam``; defined for finite ``lam > 0`` with ``lam * ||D||_1 <= 2**31``.
     """
-    _check_lambda(lam)
-    values, source = _unpack(direct)
-    values *= lam  # a private copy: scaling in place saves one n x n array
-    out = _damped_expm1(values, lam)
+    out, source = _kernel(direct, lam)
     out /= -math.expm1(-lam)
     return _pack(source, out, MatrixKind.indirect("pwp", **{"lambda": lam}))
 
@@ -266,10 +267,7 @@ def heat_kernel(direct, lam: float = 1.0):
     Computed as ``e**-lam * (exp(lam*D) - I) + e**-lam * I``, with no shift
     of ``D``; defined for finite ``lam > 0`` with ``lam * ||D||_1 <= 2**31``.
     """
-    _check_lambda(lam)
-    values, source = _unpack(direct)
-    values *= lam
-    out = _damped_expm1(values, lam)
+    out, source = _kernel(direct, lam)
     out.flat[:: len(out) + 1] += math.exp(-lam)
     return _pack(source, out, MatrixKind.indirect("heatkernel", **{"lambda": lam}))
 

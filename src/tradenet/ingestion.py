@@ -15,12 +15,12 @@ writes: :func:`csv_blocks` reads a CSV file, :func:`csv_line` formats a CSV
 line and :func:`write_lines` writes any file, as UTF-8 with ``\\n`` line ends.
 
 Flows are read in blocks of rows straight into the columns of a
-:class:`~tradenet.model.FlowTable`, which :func:`~tradenet.model.flow_fault`
-checks as whole columns; ingestion adds only what the file knows (lines).
-A clean flows file is read by numpy's C parser (``np.loadtxt``).  A file
-that parser might read otherwise than :mod:`csv` does, and any faulty file,
-goes to the block parser over :func:`csv_blocks`, which writes every flow
-error: messages, line numbers and fault order are the block parser's alone.
+:class:`~tradenet.model.FlowTable`; :func:`~tradenet.model.flow_fault` checks
+them as whole columns and words every error, given what the file knows (lines,
+unparsed cells); ingestion adds only ``path:line:``.  A clean flows file, quoted
+cells included, is read by numpy's C parser (``np.loadtxt``).  Any other file,
+faulty ones included, goes to the block parser over :func:`csv_blocks`, which
+raises every flow error, so line numbers and fault order are its alone.
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ _BLOCK_ROWS = 32_768
 # width of the fast path's code strings; a padded code fits, a cell this wide may be cut short
 _CODE_WIDTH = 8
 
-# bytes the fast path leaves to the block parser: numpy reads quotes unlike csv,
-# a fixed-width string drops a trailing NUL, and numpy skips the separators
-# \x1c-\x1f around a number, where float() rejects them
-_DEFER_BYTES = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# bytes the fast path leaves to the block parser: a fixed-width string drops a
+# trailing NUL, and numpy skips the separators \x1c-\x1f around a number, where
+# float() rejects them
+_DEFER_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def csv_blocks(path: str | Path, columns: tuple[str, ...]):
@@ -128,6 +128,12 @@ def _floats(cells) -> tuple[np.ndarray, dict[int, str]]:
         return values, texts
 
 
+def _located(where: str, exc: Exception) -> TradeNetError:
+    """``exc`` behind ``where`` (``path:line``); a ``ValueError`` becomes :class:`MalformedRowError`."""
+    cls = MalformedRowError if isinstance(exc, ValueError) else type(exc)
+    return cls(f"{where}: {exc}")
+
+
 def load_countries(path: str | Path) -> list[CountryRecord]:
     """Parse a countries CSV into records, preserving file order.
 
@@ -148,10 +154,8 @@ def load_countries(path: str | Path) -> list[CountryRecord]:
                 raise DuplicateCountryError(f"{where}: code {code} already defined on line {first}")
             try:
                 records.append(CountryRecord(code, name, *amounts))
-            except ValueError as exc:
-                raise MalformedRowError(f"{where}: {exc}") from None
-            except TradeNetError as exc:  # a negative amount
-                raise type(exc)(f"{where}: {exc}") from None
+            except (ValueError, TradeNetError) as exc:  # TradeNetError: a negative amount
+                raise _located(where, exc) from None
             first = names.setdefault(name, line)
             if first != line:
                 raise DuplicateCountryError(f"{where}: name {name!r} already defined on line {first}")
@@ -192,17 +196,18 @@ def _read_flows_fast(path: str | Path) -> tuple[FlowTable | None, str]:
     them, so new codes join the table's codes in its order: block by block,
     reporter column before partner column, in order of first appearance.
     A table is returned only when it equals the block parser's, faulty rows
-    included.  So the file must hold none of ``_DEFER_BYTES`` (a quote, a
-    NUL, ``\\x1c``-``\\x1f``), and no code cell may fill ``_CODE_WIDTH``
-    characters (it may have been cut short).  A row the C parser rejects,
-    such as one with another field count, a row of empty cells or an amount
-    it does not read (``float`` reads ``1_000``), sends the file to the
-    block parser too.
+    included.  So the file must hold none of ``_DEFER_BYTES`` (a NUL,
+    ``\\x1c``-``\\x1f``), and no code cell may fill ``_CODE_WIDTH``
+    characters (it may have been cut short).  ``"`` quotes a cell as in
+    :mod:`csv`: a quote is doubled, a separator or line end may be inside.
+    A row the C parser rejects, such as one with another field count, a row
+    of empty cells or an amount it does not read (``float`` reads ``1_000``),
+    sends the file to the block parser too.
     """
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             if any(byte in chunk for byte in _DEFER_BYTES):
-                return None, "quote, NUL or \\x1c-\\x1f character"
+                return None, "NUL or \\x1c-\\x1f character"
     index: dict[str, int] = {}  # code -> position in the table's codes
     raw: dict[str, int] = {}  # cell as written -> index of its stripped code
     codes, amounts = [], []  # per block: (reporter, partner) indices, (exports, imports)
@@ -219,7 +224,7 @@ def _read_flows_fast(path: str | Path) -> tuple[FlowTable | None, str]:
             fields = [f"c{header.index(name)}" for name in FLOW_COLUMNS]
             while True:
                 block = np.loadtxt(
-                    handle, dtype, comments=None, delimiter=",", quotechar=None,
+                    handle, dtype, comments=None, delimiter=",", quotechar='"',
                     max_rows=_BLOCK_ROWS, ndmin=1,
                 )
                 cells, first, inverse = np.unique(
@@ -250,7 +255,8 @@ def _read_flows_blocks(path: str | Path) -> FlowTable:
         name: [np.zeros(0, dtype)]
         for name, dtype in zip((*FLOW_COLUMNS, "lines"), (np.intp, np.intp, float, float, np.int64))
     }
-    texts: dict[tuple[int, str], str] = {}  # amount cells that do not parse, by (line, column)
+    texts: dict[tuple[int, str], str] = {}  # amount cells that do not parse, by (row, column)
+    rows = 0  # rows read before the block
     pending = None
     try:
         for lines, cells in csv_blocks(path, FLOW_COLUMNS):
@@ -261,29 +267,19 @@ def _read_flows_blocks(path: str | Path) -> FlowTable:
                 parts[name].append(np.fromiter(map(raw.__getitem__, column), np.intp, len(column)))
             for name, column in zip(FLOW_COLUMNS[2:], cells[2:]):
                 values, unparsed = _floats(column)
-                texts.update(((lines[i], name), text) for i, text in unparsed.items())
+                texts.update(((rows + i, name), text) for i, text in unparsed.items())
                 parts[name].append(values)
             parts["lines"].append(np.array(lines, dtype=np.int64))
+            rows += len(lines)
     except MalformedRowError as exc:
         pending = exc
 
-    reporter, partner, exports, imports, lines = (
-        np.concatenate(parts[name]) for name in (*FLOW_COLUMNS, "lines")
-    )
-    table = FlowTable(tuple(index), reporter, partner, exports, imports)
-    fault = flow_fault(table)
+    *columns, lines = (np.concatenate(parts[name]) for name in (*FLOW_COLUMNS, "lines"))
+    table = FlowTable(tuple(index), *columns)
+    fault = flow_fault(table, lines, texts)
     if fault is not None:
         row, error = fault
-        line = int(lines[row])
-        subject = str(error).rpartition(" is ")[0]  # e.g. "exports of flow (A, B)"
-        text = texts.get((line, subject.partition(" ")[0]))
-        if text is not None:  # the cell did not parse (NaN in the table): quote it as written
-            error = ValueError(f"{subject} is not a number: {text!r}")
-        # an earlier record of the row's pair makes the fault its duplicate
-        first = int(np.argmax((reporter == reporter[row]) & (partner == partner[row])))
-        seen = f" already defined on line {int(lines[first])}" if first < row else ""
-        cls = MalformedRowError if isinstance(error, ValueError) else type(error)
-        raise cls(f"{path}:{line}: {error}{seen}")
+        raise _located(f"{path}:{lines[row]}", error)
     if pending is not None:
         raise pending
     return table

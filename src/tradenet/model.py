@@ -9,8 +9,8 @@ is one row of it as a record.
 Every record check is written once here, over arrays of rows:
 :func:`repeated` finds duplicate keys, :func:`first_fault` picks the first
 failing row, then the first failing check within it, and :func:`flow_fault`
-builds the error of a :class:`FlowTable`'s first faulty row, for
-:func:`build_network` and ingestion alike; ingestion only adds the line.
+words the error of a :class:`FlowTable`'s first faulty row, for
+:func:`build_network` and ingestion alike; ingestion only adds ``path:line:``.
 
 All types are frozen after construction and safe to share across threads.
 """
@@ -214,12 +214,15 @@ class FlowTable:
         return FlowTable(self.codes, *(getattr(self, name)[rows] for name in self._DTYPES))
 
 
-def flow_fault(table: FlowTable) -> tuple[int, Exception] | None:
+def flow_fault(table: FlowTable, lines=None, texts=None) -> tuple[int, Exception] | None:
     """The first faulty row of ``table`` and its error, or ``None``.
 
     A row's checks run in this order: indices within ``table.codes``,
     self-flow (a code listed twice in ``table.codes`` is one country), pair
-    already on an earlier row, exports, imports.
+    already on an earlier row, exports, imports.  Ingestion passes what the
+    file knows: each row's line number (``lines``), named for a duplicate's
+    first row, and the stripped text of each amount cell that did not parse
+    (``texts``, by ``(row, column)``; NaN in the table), quoted in its error.
     """
     k = len(table.codes)
     columns = (table.reporter, table.partner)
@@ -227,10 +230,11 @@ def flow_fault(table: FlowTable) -> tuple[int, Exception] | None:
     # one id per distinct code; a row with an index outside the codes reads the trailing -1
     ids = np.append(np.unique(np.array(table.codes, dtype=object), return_inverse=True)[1], -1)
     reporter, partner = (ids[np.where(outside, k, column)] for column in columns)
+    keys = reporter * k + partner
     fault = first_fault(
         outside,
         reporter == partner,
-        repeated(reporter * k + partner),
+        repeated(keys),
         # amounts that are not finite and non-negative, NaN included
         *(~((amounts >= 0) & (amounts < np.inf)) for amounts in (table.exports, table.imports)),
     )
@@ -246,8 +250,12 @@ def flow_fault(table: FlowTable) -> tuple[int, Exception] | None:
     if check == 1:
         return row, SelfFlowError(f"flow {pair} is a self-flow")
     if check == 2:
-        return row, DuplicateFlowError(f"duplicate flow record for pair {pair}")
+        first = int(np.argmax(keys == keys[row]))  # the pair's first row
+        seen = "" if lines is None else f" already defined on line {lines[first]}"
+        return row, DuplicateFlowError(f"duplicate flow record for pair {pair}{seen}")
     column = ("exports", "imports")[check - 3]
+    if texts and (row, column) in texts:
+        return row, ValueError(f"{column} of flow {pair} is not a number: {texts[row, column]!r}")
     try:
         checked_amount(float(getattr(table, column)[row]), f"{column} of flow {pair}")
     except (NegativeAmountError, ValueError) as exc:

@@ -21,6 +21,7 @@ the number of such countries and the one whose ratio lies furthest from 1.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 
 import numpy as np
@@ -54,8 +55,16 @@ def _denominator(rec: CountryRecord, kind: WeightKind) -> float:
     return rec.total_trade if kind is WeightKind.TRADE else rec.offer
 
 
+def _overflow(a: str, b: str, flows: float, denom: float, kind: WeightKind) -> OverflowError:
+    """The refusal of a share ``flows / denom`` of ``b`` in ``a``'s row that is not finite."""
+    what = "total trade" if kind is WeightKind.TRADE else "GDP + imports"
+    return OverflowError(
+        f"{a}'s flows with {b} ({flows:g}) over its {what} ({denom:g}) leave the floating-point range"
+    )
+
+
 def _influence(network: TradeNetwork, a: str, b: str, kind: WeightKind) -> float:
-    """Entry ``[a, b]`` of :func:`build_direct_matrix`, raising where that row is left at zero."""
+    """Entry ``[a, b]`` of :func:`build_direct_matrix`, raising where that matrix does."""
     if a == b:
         raise ValueError(f"{kind.value} influence is undefined for a country on itself")
     rec = network.country(a)
@@ -65,7 +74,10 @@ def _influence(network: TradeNetwork, a: str, b: str, kind: WeightKind) -> float
         if kind is WeightKind.TRADE:
             raise IsolatedCountryError(f"{a} declares no international trade")
         raise ZeroOfferDenominatorError(f"{a} has zero GDP + imports")
-    return network.reported_trade(a, b) / denom
+    flows = network.reported_trade(a, b)
+    if flows / denom == math.inf:
+        raise _overflow(a, b, flows, denom, kind)
+    return flows / denom
 
 
 def trade_influence(network: TradeNetwork, a: str, b: str) -> float:
@@ -78,6 +90,8 @@ def trade_influence(network: TradeNetwork, a: str, b: str) -> float:
     ------
     IsolatedCountryError
         If ``a`` declares zero total trade.
+    OverflowError
+        If the share is too large for a float.
     """
     return _influence(network, a, b, WeightKind.TRADE)
 
@@ -89,6 +103,8 @@ def offer_influence(network: TradeNetwork, a: str, b: str) -> float:
     ------
     ZeroOfferDenominatorError
         If ``a`` has GDP + imports = 0.
+    OverflowError
+        If the share is too large for a float.
     """
     return _influence(network, a, b, WeightKind.OFFER)
 
@@ -112,6 +128,9 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
     ZeroOfferDenominatorError
         For ``kind=OFFER``, if a country has flow records but zero offer,
         naming the first such country.
+    OverflowError
+        If a share is too large for a float (a tiny denominator, say),
+        naming the first such country, its flows and its denominator.
 
     Warns
     -----
@@ -123,7 +142,8 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
         their count and the first of them.
     """
     flows = network.flows
-    totals = flows.totals
+    with np.errstate(over="ignore"):  # an infinite share is refused below
+        totals = flows.totals
     reported = np.bincount(flows.reporter, weights=totals, minlength=network.n)
     denoms = np.array([_denominator(rec, kind) for rec in network.countries], dtype=float)
 
@@ -137,8 +157,15 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
 
     values = np.zeros((network.n, network.n))
     rows = denoms[flows.reporter] > 0
-    reporter = flows.reporter[rows]
-    values[reporter, flows.partner[rows]] = totals[rows] / denoms[reporter]
+    reporter, partner = flows.reporter[rows], flows.partner[rows]
+    with np.errstate(over="ignore"):
+        shares = totals[rows] / denoms[reporter]
+    infinite = np.flatnonzero(shares == np.inf)
+    if len(infinite):
+        i = infinite[0]
+        a, b = network.codes[reporter[i]], network.codes[partner[i]]
+        raise _overflow(a, b, totals[rows][i], denoms[reporter[i]], kind)
+    values[reporter, partner] = shares
 
     if kind is WeightKind.TRADE:
         mismatched = np.flatnonzero(
@@ -146,7 +173,8 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
             & (np.abs(reported - denoms) > _CONSISTENCY_RTOL * np.maximum(reported, denoms))
         )
         if len(mismatched):
-            ratios = reported[mismatched] / denoms[mismatched]
+            with np.errstate(over="ignore"):  # finite shares may sum past the range: "at inf"
+                ratios = reported[mismatched] / denoms[mismatched]
             furthest = int(np.argmax(np.abs(ratios - 1.0)))
             _warn(len(mismatched), "do not sum to their declared totals; furthest: "
                   f"{network.codes[mismatched[furthest]]} at {ratios[furthest]:.6g}")

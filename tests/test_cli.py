@@ -525,6 +525,26 @@ class TestContract:
         assert all(line.startswith("ConsistencyWarning: ") for line in lines[:-1])
         assert not out.exists()
 
+    @pytest.mark.parametrize("weight", ["trade", "offer"])
+    @pytest.mark.parametrize("command", ["matrix", "rank", "plane", "export-dot"])
+    def test_share_too_large_for_a_float_exits_one_without_files(
+        self, tmp_path, capsys, command, weight
+    ):
+        # AAA's totals and GDP are subnormal, so its share of BBB, 10 / 1e-310,
+        # overflows; export-dot used to write "weight=inf" and exit 0
+        countries = [CountryRecord("AAA", "Alpha", 1e-310, 1e-310, 0.0),
+                     CountryRecord("BBB", "Beta", 10.0, 10.0, 10.0)]
+        flows = [BilateralFlow("AAA", "BBB", 5.0, 5.0), BilateralFlow("BBB", "AAA", 5.0, 5.0)]
+        files = write_dataset(tmp_path, build_network(countries, flows))
+        out = tmp_path / "out"
+        assert main([command, *dataset_args(*files, out, "--weight", weight)]) == 1
+        denominator = "total trade" if weight == "trade" else "GDP + imports"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error [weights] AAA's flows with BBB (10) over its {denominator} (1e-310) "
+            "leave the floating-point range"
+        ]
+        assert not out.exists()
+
     def test_matrix_outputs_are_byte_identical_across_runs(self, tmp_path, triangle_files):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -268,7 +268,10 @@ class TestColumnNormalize:
         d = np.array([[0.2, 0.0], [0.6, 0.0]])
         out = column_normalize(d)
         np.testing.assert_allclose(out[:, 0], [0.25, 0.75], rtol=1e-15)
-        assert d[1, 0] == 0.6  # the input is not divided
+        # the input is not divided, nor scaled by the operators that scale a copy in place
+        for operator in (column_normalize, pwp, heat_kernel, matrix_exponential):
+            operator(d)
+            assert d.tolist() == [[0.2, 0.0], [0.6, 0.0]], operator.__name__
 
     def test_zero_column_left_zero(self):
         out = column_normalize(np.array([[0.0, 1.0], [0.0, 1.0]]))

@@ -1,3 +1,5 @@
+import csv
+import io
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -354,8 +356,31 @@ FUZZ_ODD_CELLS = (
 
 FUZZ_PLAIN = dict(
     order=(*FLOW_COLUMNS, "note"), extra=False, ends=["\n"], bom=False,
-    block_rows=ingestion._BLOCK_ROWS,
+    block_rows=ingestion._BLOCK_ROWS, quoting=None,
 )
+
+
+def fuzz_text(lines, ends, quoting):
+    """The lines joined as written (``quoting=None``) or by a ``csv`` writer quoting that way.
+
+    Under ``QUOTE_NONNUMERIC`` an amount cell ``float`` reads is written as a
+    float, so the writer leaves it unquoted.
+    """
+    if quoting is None:
+        return "".join(",".join(cells) + ends[i % len(ends)] for i, cells in enumerate(lines))
+    buffer = io.StringIO()
+    for i, cells in enumerate(lines):
+        if quoting == csv.QUOTE_NONNUMERIC and i:
+            cells = [amount_or_text(cell) for cell in cells]
+        csv.writer(buffer, quoting=quoting, lineterminator=ends[i % len(ends)]).writerow(cells)
+    return buffer.getvalue()
+
+
+def amount_or_text(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
 
 
 @st.composite
@@ -394,11 +419,14 @@ class TestFastPath:
         ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
         bom=st.booleans(),
         block_rows=st.sampled_from([2, 3, ingestion._BLOCK_ROWS]),
+        quoting=st.sampled_from([None, csv.QUOTE_ALL, csv.QUOTE_MINIMAL, csv.QUOTE_NONNUMERIC]),
     )
     # one file per hazard: a NUL a fixed-width string drops, a separator numpy
     # skips around a number, a code cell cut short, a "#" row, a quoted code,
     # a quote opening a cell that runs to the end of the file, blank rows
-    # across blocks with lone \r line ends
+    # across blocks with lone \r line ends; then csv-quoted files: a doubled
+    # quote, a quoted separator and line end, space outside the quotes, and
+    # quoted numbers read as amounts
     @example(rows=[["A\x00", "BBB", "1", "1", "x"]], **FUZZ_PLAIN)
     @example(rows=[["AAA", "BBB", "1\x1c", "0", "x"]], **FUZZ_PLAIN)
     @example(rows=[["AAA     X", "BBB", "1", "1", "x"]], **FUZZ_PLAIN)
@@ -413,13 +441,23 @@ class TestFastPath:
               ["EE", "AAA", "0", "0", "x"]],
         **{**FUZZ_PLAIN, "ends": ["\r"], "bom": True, "block_rows": 2},
     )
+    @example(rows=[['A"A', "BBB", "1", "1", "x,y"]], **{**FUZZ_PLAIN, "quoting": csv.QUOTE_ALL})
+    @example(
+        rows=[["AAA", "BBB", "1", "1", "x\ny"], ["BBB", "AAA", "1", "1", "x\r\n"]],
+        **{**FUZZ_PLAIN, "extra": True, "ends": ["\r\n"], "quoting": csv.QUOTE_MINIMAL},
+    )
+    @example(rows=[["AAA", "BBB", "1", "1", "x"], [' "BBB"', "AAA", "1", "1", "x"]], **FUZZ_PLAIN)
+    @example(
+        rows=[["AAA", "BBB", " 3 ", "1e5", "x"], ["BBB", "AAA", "1_000", "-0", "x"]],
+        **{**FUZZ_PLAIN, "quoting": csv.QUOTE_NONNUMERIC},
+    )
     def test_fast_path_reads_the_block_parsers_table_or_defers(
-        self, rows, order, extra, ends, bom, block_rows
+        self, rows, order, extra, ends, bom, block_rows, quoting
     ):
         header = [c for c in order if extra or c != "note"]
         position = {c: i for i, c in enumerate((*FLOW_COLUMNS, "note"))}
         lines = [header] + [[r[position[c]] for c in header] if len(r) == 5 else r for r in rows]
-        text = "".join(",".join(cells) + ends[i % len(ends)] for i, cells in enumerate(lines))
+        text = fuzz_text(lines, ends, quoting)
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
             ingestion, "_BLOCK_ROWS", block_rows
         ):
@@ -443,11 +481,18 @@ class TestFastPath:
             load_flows(path)
         assert "block parser" not in caplog.text
 
+    def test_clean_quoted_file_takes_the_fast_path(self, tmp_path, caplog):
+        lines = [FLOW_COLUMNS, ["AAA", "BBB", "1", "1"], ["BBB", "AAA", "0", "0"]]
+        path = write(tmp_path, "f.csv", fuzz_text(lines, ["\n"], csv.QUOTE_ALL))
+        with caplog.at_level("DEBUG", logger="tradenet.ingestion"):
+            assert load_flows(path) == FlowTable(("AAA", "BBB"), [0], [1], [1.0], [1.0])
+        assert "block parser" not in caplog.text
+
     def test_deferral_names_its_reason(self, tmp_path, caplog):
-        path = write(tmp_path, "f.csv", FLOWS_HEADER + '"AAA",BBB,1,1\n')
+        path = write(tmp_path, "f.csv", FLOWS_HEADER + "AAA\0,BBB,1,1\n")
         with caplog.at_level("DEBUG", logger="tradenet.ingestion"):
             load_flows(path)
-        reason = "quote, NUL or \\x1c-\\x1f character"
+        reason = "NUL or \\x1c-\\x1f character"
         assert f"{path}: block parser used ({reason})" in caplog.messages
 
     @pytest.mark.parametrize("block_rows", [4096, ingestion._BLOCK_ROWS])

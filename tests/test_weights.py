@@ -124,6 +124,23 @@ class TestBuildDirectMatrix:
                 rec.total_trade / rec.offer, abs=1e-12
             )
 
+    @pytest.mark.parametrize("kind", list(WeightKind))
+    def test_share_too_large_for_a_float_is_refused(self, kind):
+        # AAA's totals and GDP are subnormal: its share of BBB, 10 / 1e-310, overflows
+        a = CountryRecord("AAA", "Alpha", 1e-310, 1e-310, 0.0)
+        b = CountryRecord("BBB", "Beta", 10.0, 10.0, 10.0)
+        net = build_network([a, b], [BilateralFlow("AAA", "BBB", 5.0, 5.0),
+                                     BilateralFlow("BBB", "AAA", 5.0, 5.0)])
+        influence = trade_influence if kind is WeightKind.TRADE else offer_influence
+        message = r"^AAA's flows with BBB \(10\) over its .+ \(1e-310\) leave the floating-point range$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=message):
+                build_direct_matrix(net, kind)
+            with pytest.raises(OverflowError, match=message):
+                influence(net, "AAA", "BBB")
+            assert influence(net, "BBB", "AAA") == 0.5
+
     def test_inconsistent_totals_warn_with_ratio(self):
         a = CountryRecord("AAA", "Alpha", 100.0, 10.0, 10.0)  # declares 20
         b = CountryRecord("BBB", "Beta", 100.0, 5.0, 5.0)
@@ -328,9 +345,22 @@ def test_consistency_warning_counts_like_isclose(data, n):
     undivided = [
         code for code in net.codes if net.country(code).total_trade == 0 and reported[code] > 0
     ]
+    # a share too large for a float (a subnormal total, say) is refused, naming
+    # the first such flow, after the zero-totals summary and before the mismatch one
+    overflowing = [
+        flow for flow in net.flows
+        if net.country(flow.reporter).total_trade > 0
+        and flow.total / net.country(flow.reporter).total_trade == math.inf
+    ]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        build_direct_matrix(net, WeightKind.TRADE)
+        if overflowing:
+            first = overflowing[0]
+            with pytest.raises(OverflowError, match=f"^{first.reporter}'s flows with {first.partner} "):
+                build_direct_matrix(net, WeightKind.TRADE)
+            mismatched = []
+        else:
+            build_direct_matrix(net, WeightKind.TRADE)
     summaries = [str(w.message) for w in caught if str(w.message).startswith("flows of ")]
 
     def counted(codes):
