@@ -17,10 +17,11 @@ their distance (``analytics``).
 
 Exit codes: 0 success, 1 data or validation error (the diagnostic
 ``error [stage] ...`` names the failing stage), 2 usage error, including an
-empty ``--countries`` or ``--flows`` path.  A warning about the data, such as
-flows that do not sum to the declared totals, is one stderr line,
-``ConsistencyWarning: <message>``.  All outputs are deterministic: rerunning
-a command with identical inputs produces byte-identical files.
+empty ``--countries`` or ``--flows`` path and a ``--region`` that names no
+country code.  A warning about the data, such as flows that do not sum to the
+declared totals, is one stderr line, ``ConsistencyWarning: <message>``.  All
+outputs are deterministic: rerunning a command with identical inputs produces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -287,8 +288,10 @@ def main(argv: list[str] | None = None) -> int:
             if not math.isfinite(getattr(args, "min_weight", 0.0)):
                 raise ValueError(f"min-weight must be finite, got {args.min_weight}")
             region = None
-            if args.region:
-                region = tuple(code.strip() for code in args.region.split(",") if code.strip())
+            if args.region is not None:
+                region = tuple(filter(None, map(str.strip, args.region.split(","))))
+                if not region:
+                    raise ValueError(f"--region names no country code: {args.region!r}")
             manifest = DatasetManifest(args.countries, args.flows, region)
         except ValueError as exc:
             parser.error(str(exc))

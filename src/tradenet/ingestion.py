@@ -13,6 +13,7 @@ offending row; when a file has several faults, the first line wins.
 The file format is decided here, for every file the package reads or
 writes: :func:`csv_blocks` reads a CSV file, :func:`csv_line` formats a CSV
 line and :func:`write_lines` writes any file, as UTF-8 with ``\\n`` line ends.
+A cell read is its text stripped of surrounding whitespace, in every file.
 
 Flows are read in blocks of rows straight into the columns of a
 :class:`~tradenet.model.FlowTable`; :func:`~tradenet.model.flow_fault` checks
@@ -66,52 +67,57 @@ _BLOCK_ROWS = 32_768
 # width of the fast path's code strings; a padded code fits, a cell this wide may be cut short
 _CODE_WIDTH = 8
 
-# bytes the fast path leaves to the block parser: a fixed-width string drops a
-# trailing NUL, and numpy skips the separators \x1c-\x1f around a number, where
-# float() rejects them
-_DEFER_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+def _header(path: str | Path, reader, columns: tuple[str, ...]) -> list[str]:
+    """The header row read from ``reader``, its cells stripped; raises unless it names ``columns``."""
+    try:
+        header = [cell.strip() for cell in next(reader)]
+    except StopIteration:
+        raise MissingColumnError(f"{path}: file is empty, header row required") from None
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise MissingColumnError(f"{path}: missing column(s) {', '.join(missing)}")
+    return header
 
 
 def csv_blocks(path: str | Path, columns: tuple[str, ...]):
     """Yield ``(lines, cells)`` per block of data rows, after header validation.
 
-    ``lines`` are the rows' 1-based line numbers and ``cells`` one list of
-    raw (unstripped) cells per requested column.  Blank rows and rows of
-    empty cells are skipped.  A row with the wrong field count ends the
-    file: its :class:`MalformedRowError` is raised after the rows before it
-    have been yielded, since those may hold an earlier fault.
+    ``lines`` are the rows' 1-based line numbers and ``cells`` one list per
+    requested column of its cells, each as :mod:`csv` unquotes it, then
+    stripped (``str.strip``).  Blank rows and rows of empty cells are
+    skipped.  A row with the wrong field count ends the file: its
+    :class:`MalformedRowError` is raised after the rows before it have been
+    yielded, since those may hold an earlier fault.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumnError(f"{path}: file is empty, header row required") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise MissingColumnError(f"{path}: missing column(s) {', '.join(missing)}")
+        header = _header(path, reader, columns)
         width = len(header)
         positions = [header.index(c) for c in columns]
         cells: list[str] = []  # the block's rows, concatenated
         lines: list[int] = []
+
+        def block():
+            return lines, [list(map(str.strip, cells[p::width])) for p in positions]
+
         for row in reader:
             if len(row) != width or not row[0].strip():
                 if not any(cell.strip() for cell in row):
                     continue
                 if len(row) != width:
                     if lines:
-                        yield lines, [cells[p::width] for p in positions]
+                        yield block()
                     raise MalformedRowError(
                         f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
                     )
             cells += row
             lines.append(reader.line_num)
             if len(lines) == _BLOCK_ROWS:
-                yield lines, [cells[p::width] for p in positions]
+                yield block()
                 cells, lines = [], []
         if lines:
-            yield lines, [cells[p::width] for p in positions]
+            yield block()
 
 
 def _floats(cells) -> tuple[np.ndarray, dict[int, str]]:
@@ -124,7 +130,7 @@ def _floats(cells) -> tuple[np.ndarray, dict[int, str]]:
             try:
                 values[i] = float(cell)
             except ValueError:
-                values[i], texts[i] = math.nan, cell.strip()
+                values[i], texts[i] = math.nan, cell
         return values, texts
 
 
@@ -147,7 +153,7 @@ def load_countries(path: str | Path) -> list[CountryRecord]:
     names: dict[str, int] = {}  # name -> line defining it
     for lines, cells in csv_blocks(path, COUNTRY_COLUMNS):
         for line, row in zip(lines, zip(*cells)):
-            code, name, *amounts = (cell.strip() for cell in row)
+            code, name, *amounts = row
             where = f"{path}:{line}"
             first = codes.setdefault(code, line)
             if first != line:
@@ -175,6 +181,7 @@ def load_flows(path: str | Path) -> FlowTable:
     file it cannot read to the block parser's table, faulty files included,
     goes to the block parser (:func:`_read_flows_blocks`), which writes
     every error, so messages, lines and fault order do not depend on the path.
+    Both check the header by :func:`_header`, so a header fault never defers.
     """
     table, reason = _read_flows_fast(path)
     if table is not None and flow_fault(table) is not None:
@@ -196,18 +203,21 @@ def _read_flows_fast(path: str | Path) -> tuple[FlowTable | None, str]:
     them, so new codes join the table's codes in its order: block by block,
     reporter column before partner column, in order of first appearance.
     A table is returned only when it equals the block parser's, faulty rows
-    included.  So the file must hold none of ``_DEFER_BYTES`` (a NUL,
-    ``\\x1c``-``\\x1f``), and no code cell may fill ``_CODE_WIDTH``
-    characters (it may have been cut short).  ``"`` quotes a cell as in
-    :mod:`csv`: a quote is doubled, a separator or line end may be inside.
-    A row the C parser rejects, such as one with another field count, a row
-    of empty cells or an amount it does not read (``float`` reads ``1_000``),
-    sends the file to the block parser too.
+    included.  So the file must hold no NUL (a fixed-width string drops a
+    trailing one), and no code cell may fill ``_CODE_WIDTH`` characters (it
+    may have been cut short).  ``"`` quotes a cell as in :mod:`csv`: a quote
+    is doubled, a separator or line end may be inside.  numpy skips the
+    whitespace ``str.strip`` removes around an amount, ``\\x1c``-``\\x1f``
+    included.  A row the C parser rejects, such as one with another field
+    count, a row of empty cells or an amount it does not read (``float``
+    reads ``1_000``), sends the file to the block parser too.  numpy cannot
+    strip a string, so code cells are mapped to their stripped codes here,
+    the one place besides :func:`csv_blocks` that strips a cell.
     """
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
-            if any(byte in chunk for byte in _DEFER_BYTES):
-                return None, "NUL or \\x1c-\\x1f character"
+            if b"\0" in chunk:
+                return None, "NUL character"
     index: dict[str, int] = {}  # code -> position in the table's codes
     raw: dict[str, int] = {}  # cell as written -> index of its stripped code
     codes, amounts = [], []  # per block: (reporter, partner) indices, (exports, imports)
@@ -215,9 +225,7 @@ def _read_flows_fast(path: str | Path) -> tuple[FlowTable | None, str]:
         with open(path, newline="", encoding="utf-8-sig") as handle, warnings.catch_warnings():
             # numpy warns of each blank line and of an empty last block
             warnings.simplefilter("ignore", UserWarning)
-            header = [h.strip() for h in next(csv.reader(handle), ())]
-            if not set(FLOW_COLUMNS) <= set(header):
-                return None, "missing column or empty file"
+            header = _header(path, csv.reader(handle), FLOW_COLUMNS)
             # every column is read, so a row with another field count fails
             kinds = dict(zip(FLOW_COLUMNS, (f"U{_CODE_WIDTH}",) * 2 + (float,) * 2))
             dtype = [(f"c{i}", kinds.get(name, "U1")) for i, name in enumerate(header)]
@@ -250,7 +258,6 @@ def _read_flows_fast(path: str | Path) -> tuple[FlowTable | None, str]:
 def _read_flows_blocks(path: str | Path) -> FlowTable:
     """The flows file read by :func:`csv_blocks`; raises the error of its first faulty line."""
     index: dict[str, int] = {}  # code -> position in the table's codes
-    raw: dict[str, int] = {}  # cell as written -> index of its stripped code
     parts = {
         name: [np.zeros(0, dtype)]
         for name, dtype in zip((*FLOW_COLUMNS, "lines"), (np.intp, np.intp, float, float, np.int64))
@@ -261,10 +268,9 @@ def _read_flows_blocks(path: str | Path) -> FlowTable:
     try:
         for lines, cells in csv_blocks(path, FLOW_COLUMNS):
             for name, column in zip(FLOW_COLUMNS[:2], cells[:2]):
-                for cell in dict.fromkeys(column):
-                    if cell not in raw:
-                        raw[cell] = index.setdefault(cell.strip(), len(index))
-                parts[name].append(np.fromiter(map(raw.__getitem__, column), np.intp, len(column)))
+                for code in dict.fromkeys(column):
+                    index.setdefault(code, len(index))
+                parts[name].append(np.fromiter(map(index.__getitem__, column), np.intp, len(column)))
             for name, column in zip(FLOW_COLUMNS[2:], cells[2:]):
                 values, unparsed = _floats(column)
                 texts.update(((rows + i, name), text) for i, text in unparsed.items())

@@ -372,6 +372,17 @@ class TestCompareCommand:
         assert main(["compare", str(path), str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "distance: 0"
 
+    def test_padded_csv_cells_match_unpadded_ones(self, tmp_path, capsys):
+        # codes were compared as written, so " AAA " did not match "AAA"
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("code,name,value,rank\n AAA ,Alpha,0.7, 1\n\tBBB\x1c,Beta,0.3,2 \n")
+        b.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,2\n")
+        assert main(["compare", str(a), str(b)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "distance: 0", "AAA: 1 -> 1 (+0)", "BBB: 2 -> 2 (+0)",
+        ]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_byte_order_mark_is_accepted(self, tmp_path, us_china_files, capsys, fmt):
         main(["rank", *dataset_args(*us_china_files, tmp_path / "out", "--format", fmt)])
@@ -604,6 +615,19 @@ class TestContract:
             main(["matrix", *argv])
         assert exc.value.code == 2
         assert "manifest paths must be non-empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["matrix", "rank"])
+    @pytest.mark.parametrize("region", ["", " , "])
+    def test_region_naming_no_code_is_a_usage_error(
+        self, tmp_path, us_china_files, capsys, command, region
+    ):
+        # " , " used to make matrix write a 0x0 file and "" to keep every country
+        argv = dataset_args(*us_china_files, tmp_path / "out", "--region", region)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv])
+        assert exc.value.code == 2
+        assert "--region names no country code" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_dataset_fails_in_analytics_stage(self, tmp_path, capsys):
         countries = tmp_path / "c.csv"

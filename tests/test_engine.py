@@ -1,9 +1,11 @@
+import decimal
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 from scipy.linalg import expm, null_space
 
@@ -48,6 +50,50 @@ def pwp_oracle(d, lam):
     block[:n, n:] = np.identity(n)
     block[n:, n:] = lam * (d - np.identity(n))
     return lam * d @ expm(block)[:n, n:] / -math.expm1(-lam)
+
+
+def taylor_oracle(d, lam):
+    """``pwp`` and ``heat_kernel`` of a non-negative ``d`` as nested lists of 60-digit decimals.
+
+    The plain series ``S = sum_{k>=1} (lam*D)**k / k!``, with no scaling and
+    no squaring; ``D >= 0``, so no term cancels another, and only the
+    standard library is used.  ``pwp = S / (e**lam - 1)`` and
+    ``heat_kernel = e**-lam * (I + S)``.  Each entry of term ``k + 1`` is at
+    most ``max(T_k) * ||lam*D||_1 / (k+1)``.  So summing stops at the first
+    term ``T_k`` with ``k >= n - 1`` (every reachable entry has appeared),
+    ``||lam*D||_1 <= (k+1)/2`` (the tail is then below ``max(T_k)``) and
+    ``max(T_k)`` below ``1e-70`` times the smallest positive entry of ``S``.
+    """
+    with decimal.localcontext() as context:
+        context.prec = 60
+        n, lam = len(d), Decimal(lam)
+        a = [[lam * Decimal(x) for x in row] for row in d.tolist()]
+        norm = max((sum(row[j] for row in a) for j in range(n)), default=Decimal(0))
+        term, total, k = a, a, 1
+        while True:
+            largest = max(x for row in term for x in row)
+            smallest = min((x for row in total for x in row if x), default=None)
+            if largest == 0 or (
+                k >= n - 1 and 2 * norm <= k + 1 and largest < smallest * Decimal("1e-70")
+            ):
+                break
+            k += 1
+            term = [[sum(r[m] * a[m][j] for m in range(n)) / k for j in range(n)] for r in term]
+            total = [[x + y for x, y in zip(r, t)] for r, t in zip(total, term)]
+        scale, damping = 1 / (lam.exp() - 1), (-lam).exp()
+        pwp_exact = [[x * scale for x in row] for row in total]
+        heat_exact = [[damping * (x + (i == j)) for j, x in enumerate(row)] for i, row in enumerate(total)]
+    return pwp_exact, heat_exact
+
+
+def relative_error(computed, exact):
+    """Largest entrywise ``|computed - exact| / exact``, ``inf`` where an exact zero is not 0."""
+    errors = [
+        abs(Decimal(c) - e) / e if e else (0.0 if c == 0 else math.inf)
+        for row_c, row_e in zip(computed.tolist(), exact)
+        for c, e in zip(row_c, row_e)
+    ]
+    return float(max(errors, default=0.0))
 
 
 def pagerank_oracle(d, p):
@@ -416,6 +462,50 @@ class TestScipyOracles:
         assert not d.sum(axis=0).all()
         for operator in (pwp, heat_kernel):
             assert np.abs(operator(d, 800.0).sum(axis=1) - 1.0).max() <= 1e-12
+
+
+# a direct matrix for the decimal oracle: n <= 5, entries 0 or in [0.05, 1]
+ORACLE_ENTRY = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+ORACLE_MATRIX = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(ORACLE_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+class TestDecimalOracle:
+    """pwp and heat_kernel against a 60-digit Taylor series, entry by entry.
+
+    Unlike scipy's Pade exponential, the oracle shares nothing with the
+    engine's method, and its bound is relative to each entry, not to the
+    largest one.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=ORACLE_MATRIX, lam=st.floats(math.log(0.1), math.log(100.0)).map(math.exp))
+    def test_entrywise_relative_error(self, d, lam):
+        d = np.array(d)
+        for operator, exact in zip((pwp, heat_kernel), taylor_oracle(d, lam)):
+            error = relative_error(operator(d, lam), exact)
+            target(error, label=operator.__name__)
+            assert error < 1e-12, (operator.__name__, error)
+
+    def test_oracle_matches_the_finite_series_of_a_chain(self):
+        # D[i, i+1] = 0.5 is nilpotent: exp(lam*D) - I has three terms
+        lam = Decimal(1e-20)
+        with decimal.localcontext() as context:
+            context.prec = 60
+            expected = (lam**3 / 48) / (lam.exp() - 1)
+        exact = taylor_oracle(np.diag([0.5] * 3, k=1), 1e-20)[0][0][3]
+        assert abs(exact - expected) <= expected * Decimal("1e-55")
+        assert float(expected) == pytest.approx(2.0833333e-42)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the series stops on a normwise rule, so an entry reached only by a "
+        "path far below the largest entry is 0",
+    )
+    def test_long_path_entry_at_tiny_lambda(self):
+        d = np.diag([0.5] * 3, k=1)
+        assert relative_error(pwp(d, 1e-20), taylor_oracle(d, 1e-20)[0]) < 1e-12
 
 
 class TestMethodSpec:

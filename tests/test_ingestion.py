@@ -342,7 +342,7 @@ class TestFlowOracle:
 FUZZ_PAIRS = [
     (a, b) for a in ("AAA", "BBB", "CCC", "DDD", "EE") for b in ("AAA", "BBB", "EE") if a != b
 ]
-FUZZ_PAD = st.sampled_from(["", "", "", " ", "\t", "\xa0", "  "])
+FUZZ_PAD = st.sampled_from(["", "", "", " ", "\t", "\xa0", "  ", "\x1c", "\x1d", "\x1e", "\x1f"])
 FUZZ_AMOUNT = st.sampled_from(["0", "1", "2.5", " 3 ", "1e5", "-0", "+1", ".5", "5.", "4.9e-325"])
 FUZZ_ODD_ROWS = [[], ["", "", "", "", ""], [" ", "", "", "", ""], ["AAA", "BBB", "1"], [" "],
                  ["AAA", "BBB", "1", "1", "x", "1"]]
@@ -389,7 +389,7 @@ def fuzz_rows(draw):
     pairs = draw(st.lists(st.sampled_from(FUZZ_PAIRS), unique=True, max_size=10))
     rows = [
         [draw(FUZZ_PAD) + code + draw(FUZZ_PAD) for code in pair]
-        + [draw(FUZZ_AMOUNT), draw(FUZZ_AMOUNT), "x"]
+        + [draw(FUZZ_PAD) + draw(FUZZ_AMOUNT) + draw(FUZZ_PAD) for _ in range(2)] + ["x"]
         for pair in pairs
     ]
     for _ in range(draw(st.integers(0, 2))):
@@ -422,13 +422,14 @@ class TestFastPath:
         quoting=st.sampled_from([None, csv.QUOTE_ALL, csv.QUOTE_MINIMAL, csv.QUOTE_NONNUMERIC]),
     )
     # one file per hazard: a NUL a fixed-width string drops, a separator numpy
-    # skips around a number, a code cell cut short, a "#" row, a quoted code,
-    # a quote opening a cell that runs to the end of the file, blank rows
-    # across blocks with lone \r line ends; then csv-quoted files: a doubled
-    # quote, a quoted separator and line end, space outside the quotes, and
-    # quoted numbers read as amounts
+    # skips around a number and one before a quote, a code cell cut short, a
+    # "#" row, a quoted code, a quote opening a cell that runs to the end of
+    # the file, blank rows across blocks with lone \r line ends; then
+    # csv-quoted files: a doubled quote, a quoted separator and line end,
+    # space outside the quotes, and quoted numbers read as amounts
     @example(rows=[["A\x00", "BBB", "1", "1", "x"]], **FUZZ_PLAIN)
     @example(rows=[["AAA", "BBB", "1\x1c", "0", "x"]], **FUZZ_PLAIN)
+    @example(rows=[['\x1c"A,B"', "BBB", "1", "1", "x"]], **FUZZ_PLAIN)
     @example(rows=[["AAA     X", "BBB", "1", "1", "x"]], **FUZZ_PLAIN)
     @example(rows=[["#AA", "BBB", "1", "1", "x"]], **FUZZ_PLAIN)
     @example(rows=[['"E"', "BBB", "1", "1", "x"]], **FUZZ_PLAIN)
@@ -492,8 +493,35 @@ class TestFastPath:
         path = write(tmp_path, "f.csv", FLOWS_HEADER + "AAA\0,BBB,1,1\n")
         with caplog.at_level("DEBUG", logger="tradenet.ingestion"):
             load_flows(path)
-        reason = "NUL or \\x1c-\\x1f character"
-        assert f"{path}: block parser used ({reason})" in caplog.messages
+        assert f"{path}: block parser used (NUL character)" in caplog.messages
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("reporter,partner,exports\nAAA,BBB,1\n", "missing column(s) imports"),
+            ("\n" + FLOWS_HEADER, "missing column(s) reporter, partner, exports, imports"),
+            ("", "file is empty, header row required"),
+        ],
+        ids=["missing-column", "blank-first-line", "empty"],
+    )
+    def test_header_fault_is_raised_without_deferral(self, tmp_path, caplog, text, message):
+        path = write(tmp_path, "f.csv", text)
+        with caplog.at_level("DEBUG", logger="tradenet.ingestion"):
+            with pytest.raises(MissingColumnError) as exc:
+                load_flows(path)
+        assert str(exc.value) == f"{path}: {message}"
+        assert "block parser" not in caplog.text
+
+    @pytest.mark.parametrize("pad", ["\x1c", "\x1f", " \x1d\t"])
+    def test_amount_cells_read_alike_in_both_files(self, tmp_path, pad):
+        # float() rejects \x1c-\x1f, which str.strip removes: the flows file
+        # refused a cell the countries file read
+        countries = write(tmp_path, "c.csv", COUNTRIES_HEADER + f"AAA,Alpha,1{pad},1,1\n")
+        flows = write(tmp_path, "f.csv", FLOWS_HEADER + f"AAA,BBB,1{pad},{pad}1\n")
+        assert load_countries(countries)[0].gdp == 1.0
+        table = load_flows(flows)
+        assert (table.exports.tolist(), table.imports.tolist()) == ([1.0], [1.0])
+        assert ingestion._read_flows_blocks(flows) == table
 
     @pytest.mark.parametrize("block_rows", [4096, ingestion._BLOCK_ROWS])
     def test_fast_path_peak_memory_within_block_parsers(self, tmp_path, monkeypatch, block_rows):
