@@ -27,7 +27,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -41,7 +40,7 @@ import numpy as np
 from . import analytics
 from .engine import MethodSpec
 from .errors import DuplicateCountryError, MalformedRowError, TradeNetError
-from .ingestion import DatasetManifest, csv_blocks, csv_line, load_network, write_lines
+from .ingestion import DatasetManifest, csv_blocks, csv_header, csv_line, load_network, write_lines
 from .model import InfluenceMatrix, MatrixKind, TradeNetwork
 from .weights import WeightKind, build_direct_matrix
 
@@ -80,12 +79,23 @@ def write_matrix_csv(matrix: InfluenceMatrix, path: Path) -> None:
 
 
 def read_matrix_csv(path: Path) -> InfluenceMatrix:
-    """Read a matrix written by :func:`write_matrix_csv`."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        rows = list(csv.reader(handle))
-    labels = tuple(rows[0][1:])
-    values = np.array([[float(cell) for cell in row[1:]] for row in rows[1:]])
-    return InfluenceMatrix(labels, values, MatrixKind.indirect("file"))
+    """Read a matrix written by :func:`write_matrix_csv`, as every CSV file is read.
+
+    The header is checked by :func:`~tradenet.ingestion.csv_header`: it
+    names ``code``, then the column labels, each once.  The rows, read by
+    :func:`~tradenet.ingestion.csv_blocks`, hold a label (not read back) and
+    then a number per column.  A fault raises its ``path:line:`` error.
+    """
+    header = csv_header(path, ("code",))
+    rows: list[list[float]] = []
+    for lines, (_, *columns) in csv_blocks(path, tuple(header)):
+        for line, row in zip(lines, zip(*columns)):
+            try:
+                rows.append(list(map(float, row)))
+            except ValueError as exc:
+                raise MalformedRowError(f"{path}:{line}: {exc}") from None
+    values = np.array(rows).reshape(len(rows), len(header) - 1)
+    return InfluenceMatrix(tuple(header[1:]), values, MatrixKind.indirect("file"))
 
 
 def _write_ranking(

@@ -11,9 +11,11 @@ separators).  Every parse error carries the 1-based line number of the
 offending row; when a file has several faults, the first line wins.
 
 The file format is decided here, for every file the package reads or
-writes: :func:`csv_blocks` reads a CSV file, :func:`csv_line` formats a CSV
-line and :func:`write_lines` writes any file, as UTF-8 with ``\\n`` line ends.
-A cell read is its text stripped of surrounding whitespace, in every file.
+writes: :func:`csv_blocks` reads a CSV file (:func:`csv_header` its header
+alone) and words every fault met reading it as ``path:line:``,
+:func:`csv_line` formats a CSV line and :func:`write_lines` writes any file,
+as UTF-8 with ``\\n`` line ends.  A cell read is its text stripped of
+surrounding whitespace, in every file.
 
 Flows are read in blocks of rows straight into the columns of a
 :class:`~tradenet.model.FlowTable`; :func:`~tradenet.model.flow_fault` checks
@@ -31,6 +33,7 @@ import logging
 import math
 import re
 import warnings
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -69,7 +72,7 @@ _CODE_WIDTH = 8
 
 
 def _header(path: str | Path, reader, columns: tuple[str, ...]) -> list[str]:
-    """The header row read from ``reader``, its cells stripped; raises unless it names ``columns``."""
+    """The header row read from ``reader``, its cells stripped; raises unless it names ``columns``, each once."""
     try:
         header = [cell.strip() for cell in next(reader)]
     except StopIteration:
@@ -77,47 +80,85 @@ def _header(path: str | Path, reader, columns: tuple[str, ...]) -> list[str]:
     missing = [c for c in columns if c not in header]
     if missing:
         raise MissingColumnError(f"{path}: missing column(s) {', '.join(missing)}")
+    twice = [c for c, n in Counter(header).items() if n > 1 and c in columns]
+    if twice:
+        raise MissingColumnError(f"{path}: column(s) named twice {', '.join(twice)}")
     return header
+
+
+def _read_fault(path: str | Path, reader, exc: csv.Error | UnicodeDecodeError) -> MalformedRowError:
+    """``exc``, raised by :mod:`csv` or the UTF-8 decoder reading ``path``, behind ``path:line:``.
+
+    The decoder reads ahead of ``reader``'s line count, so a byte that is not
+    UTF-8 is found again in the file's bytes, whose lines end at ``\\r``,
+    ``\\n`` and ``\\r\\n`` as :mod:`csv` counts them.
+    """
+    if isinstance(exc, csv.Error):
+        return MalformedRowError(f"{path}:{reader.line_num}: {exc}")
+    line, data = reader.line_num, Path(path).read_bytes()  # kept only if the file changed since
+    try:
+        data.decode()
+    except UnicodeDecodeError as first:
+        exc, line = first, len((data[: first.start] + b".").splitlines())
+    return MalformedRowError(f"{path}:{line}: not UTF-8 text ({exc.reason})")
+
+
+def csv_header(path: str | Path, columns: tuple[str, ...]) -> list[str]:
+    """The header of the CSV file at ``path``, read and checked as :func:`csv_blocks` reads it."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            return _header(path, reader, columns)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _read_fault(path, reader, exc) from None
 
 
 def csv_blocks(path: str | Path, columns: tuple[str, ...]):
     """Yield ``(lines, cells)`` per block of data rows, after header validation.
 
-    ``lines`` are the rows' 1-based line numbers and ``cells`` one list per
-    requested column of its cells, each as :mod:`csv` unquotes it, then
-    stripped (``str.strip``).  Blank rows and rows of empty cells are
-    skipped.  A row with the wrong field count ends the file: its
-    :class:`MalformedRowError` is raised after the rows before it have been
+    Every CSV file the package reads is read here.  ``lines`` are the rows'
+    1-based line numbers and ``cells`` one list per requested column of its
+    cells, each as :mod:`csv` unquotes it, then stripped (``str.strip``).
+    Blank rows and rows of empty cells are skipped.  A row with the wrong
+    field count ends the file, as does a fault :mod:`csv` or the UTF-8
+    decoder raises (a cell over :func:`csv.field_size_limit`, a byte that is
+    not UTF-8, a NUL under Python 3.10): its :class:`MalformedRowError`,
+    behind ``path:line:``, is raised after the rows read before it have been
     yielded, since those may hold an earlier fault.
     """
+    fault = None
+    cells: list[str] = []  # the block's rows, concatenated
+    lines: list[int] = []
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = _header(path, reader, columns)
-        width = len(header)
-        positions = [header.index(c) for c in columns]
-        cells: list[str] = []  # the block's rows, concatenated
-        lines: list[int] = []
+        try:  # around the loop, not each row: a row costs nothing more
+            header = _header(path, reader, columns)
+            width = len(header)
+            positions = [header.index(c) for c in columns]
 
-        def block():
-            return lines, [list(map(str.strip, cells[p::width])) for p in positions]
+            def block():
+                return lines, [list(map(str.strip, cells[p::width])) for p in positions]
 
-        for row in reader:
-            if len(row) != width or not row[0].strip():
-                if not any(cell.strip() for cell in row):
-                    continue
-                if len(row) != width:
-                    if lines:
-                        yield block()
-                    raise MalformedRowError(
-                        f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
-                    )
-            cells += row
-            lines.append(reader.line_num)
-            if len(lines) == _BLOCK_ROWS:
-                yield block()
-                cells, lines = [], []
-        if lines:
-            yield block()
+            for row in reader:
+                if len(row) != width or not row[0].strip():
+                    if not any(cell.strip() for cell in row):
+                        continue
+                    if len(row) != width:
+                        fault = MalformedRowError(
+                            f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
+                        )
+                        break
+                cells += row
+                lines.append(reader.line_num)
+                if len(lines) == _BLOCK_ROWS:
+                    yield block()
+                    cells, lines = [], []
+        except (csv.Error, UnicodeDecodeError) as exc:
+            fault = _read_fault(path, reader, exc)
+    if lines:
+        yield block()
+    if fault is not None:
+        raise fault
 
 
 def _floats(cells) -> tuple[np.ndarray, dict[int, str]]:

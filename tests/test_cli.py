@@ -1,9 +1,11 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import re
+import string
 import subprocess
 import sys
 import tempfile
@@ -31,6 +33,7 @@ from tradenet import (
 from tradenet.analytics import plane as analytics_plane
 from tradenet.cli import main, read_matrix_csv, write_matrix_csv
 from tradenet.engine import MethodSpec
+from tradenet.errors import MalformedRowError, TradeNetError
 
 from conftest import (
     TRIANGLE_COUNTRIES,
@@ -190,6 +193,37 @@ class TestWriteMatrixCsv:
         write_matrix_csv(matrix, tmp_path / "m.csv")
         assert (tmp_path / "m.csv").read_bytes().startswith(b'code,"a\rb",c\n"a\rb",1,0\n')
         assert read_matrix_csv(tmp_path / "m.csv").labels == matrix.labels
+
+    def test_padded_header_reads_back_unpadded(self, tmp_path):
+        # read with its own csv.reader, the label used to be ' AAA '
+        (tmp_path / "m.csv").write_text("code, AAA ,BBB\nAAA,0, 1\nBBB,2,0\n")
+        back = read_matrix_csv(tmp_path / "m.csv")
+        assert back.labels == ("AAA", "BBB")
+        assert back.values.tolist() == [[0.0, 1.0], [2.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("code,AAA,BBB\nAAA,0,1\nBBB,2\n", "m.csv:3: expected 3 fields, got 2"),
+            ("code,AAA,BBB\nAAA,0,1\nBBB,2,x\n", "m.csv:3: could not convert string to float: 'x'"),
+            ("code,AAA,AAA\nAAA,0,1\nAAA,2,0\n", "m.csv: column(s) named twice AAA"),
+            ("AAA,BBB\nAAA,0\n", "m.csv: missing column(s) code"),
+        ],
+        ids=["short-row", "not-a-number", "label-twice", "no-code"],
+    )
+    def test_fault_names_the_file_and_line(self, tmp_path, text, message):
+        # a short row used to raise numpy's inhomogeneous-shape error, with no path
+        (tmp_path / "m.csv").write_text(text)
+        with pytest.raises(TradeNetError) as exc:
+            read_matrix_csv(tmp_path / "m.csv")
+        assert str(exc.value) == f"{tmp_path / message}"
+
+    def test_byte_not_utf8_in_the_first_chunk_is_located(self, tmp_path):
+        # the header read decodes the file's first 8 KiB, line 3 included
+        (tmp_path / "m.csv").write_bytes(b"code,AAA,BBB\nAAA,0,1\nBBB,2\xff,0\n")
+        with pytest.raises(MalformedRowError) as exc:
+            read_matrix_csv(tmp_path / "m.csv")
+        assert str(exc.value) == f"{tmp_path / 'm.csv'}:3: not UTF-8 text (invalid start byte)"
 
 
 class TestRankCommand:
@@ -770,3 +804,54 @@ class TestNoTraceback:
             other.write_text("code,name,value,rank\nA,Alpha,0.7,1\nB,Beta,0.3,2\n")
             pair = (path, other) if first else (other, path)
             assert_clean_exit(["compare", *map(str, pair)])
+
+
+
+# --- read faults are located ----------------------------------------------------
+
+FAULT_LINE = 1501  # of 2001, past the decoder's first 8 KiB chunk
+CODES = ["".join(c) for c in itertools.product(string.ascii_uppercase, repeat=3)][:2000]
+# the faulty cell and the start of its message
+READ_FAULTS = {
+    "long cell": (b"x" * 200_000, "field larger than field limit (131072)"),
+    "not UTF-8": (b"Nation \xff", "not UTF-8 text (invalid start byte)"),
+    # csv refuses a NUL under Python 3.10 only; later versions read the cell, which is no number
+    "NUL": (b"1\x00", ""),
+}
+
+
+def faulty_file(tmp_path, kind: str, fault: str) -> tuple[list[str], Path]:
+    """A command reading a 2001-line ``kind`` file whose line 1501 holds a fault, and that file."""
+    files = {
+        "countries": ("code,name,gdp,total_exports,total_imports",
+                      [f"{c},Nation {c},1,1,1" for c in CODES]),
+        "flows": ("reporter,partner,exports,imports",
+                  [f"{a},{b},1,1" for a in CODES[:46] for b in CODES[:46] if a != b][:2000]),
+        "ranking": ("code,name,value,rank", [f"{c},Nation {c},0.5,{i}" for i, c in enumerate(CODES, 1)]),
+    }
+    for name, (header, rows) in files.items():
+        (tmp_path / f"{name}.csv").write_text("\n".join([header, *rows, ""]), encoding="utf-8")
+    path = tmp_path / f"{kind}.csv"
+    lines = path.read_bytes().split(b"\n")
+    cells = lines[FAULT_LINE - 1].split(b",")
+    # the cell replaced is a name (a code in a flows file), or for NUL an amount or a rank
+    column = {"countries": (1, 2), "flows": (0, 2), "ranking": (1, 3)}[kind][fault == "NUL"]
+    cells[column] = READ_FAULTS[fault][0]
+    lines[FAULT_LINE - 1] = b",".join(cells)
+    path.write_bytes(b"\n".join(lines))
+    if kind == "ranking":
+        return ["compare", str(path), str(path)], path
+    countries, flows = tmp_path / "countries.csv", tmp_path / "flows.csv"
+    return ["rank", *dataset_args(countries, flows, tmp_path / "out")], path
+
+
+class TestReadFaultsAreLocated:
+    # csv's and the decoder's errors used to end in a traceback, or in a
+    # message naming neither file nor line
+    @pytest.mark.parametrize("fault", sorted(READ_FAULTS))
+    @pytest.mark.parametrize("kind", ["countries", "flows", "ranking"])
+    def test_fault_exits_one_at_its_line(self, tmp_path, capsys, kind, fault):
+        argv, path = faulty_file(tmp_path, kind, fault)
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error [ingestion] {path}:{FAULT_LINE}: {READ_FAULTS[fault][1]}"), line

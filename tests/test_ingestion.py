@@ -501,8 +501,9 @@ class TestFastPath:
             ("reporter,partner,exports\nAAA,BBB,1\n", "missing column(s) imports"),
             ("\n" + FLOWS_HEADER, "missing column(s) reporter, partner, exports, imports"),
             ("", "file is empty, header row required"),
+            (FLOWS_HEADER.strip() + ",exports\nAAA,BBB,1,2,9\n", "column(s) named twice exports"),
         ],
-        ids=["missing-column", "blank-first-line", "empty"],
+        ids=["missing-column", "blank-first-line", "empty", "column-twice"],
     )
     def test_header_fault_is_raised_without_deferral(self, tmp_path, caplog, text, message):
         path = write(tmp_path, "f.csv", text)
@@ -578,6 +579,12 @@ COUNTRY_FAULTS = {
     "duplicate name before later negative": (
         ["AAA,Alpha,1,1,1", "BBB,Beta,1,1,1", "CCC,Alpha,1,1,1", "DDD,Beta,-1,1,1"],
         DuplicateCountryError, 4, "name 'Alpha' already defined on line 2"),
+    "duplicate before later cell over csv's limit": (
+        ["AAA,Alpha,1,1,1", "AAA,Other,1,1,1", "BBB," + "x" * 200_000 + ",1,1,1"],
+        DuplicateCountryError, 3, "line 2"),
+    "cell over csv's limit": (
+        ["AAA,Alpha,1,1,1", "BBB," + "x" * 200_000 + ",1,1,1"],
+        MalformedRowError, 3, "field larger than field limit"),
 }
 
 
@@ -590,6 +597,42 @@ class TestCountryFaultPrecedence:
         path = write(tmp_path, "c.csv", COUNTRIES_HEADER + "\n".join(rows) + "\n")
         with pytest.raises(error, match=rf"c\.csv:{line}: .*{fragment}"):
             load_countries(path)
+
+
+class TestReadFaults:
+    @pytest.mark.parametrize("bom", [False, True])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_byte_not_utf8_is_located_at_csvs_line(self, tmp_path, end, bom):
+        # the decoder reads 8 KiB ahead of csv's line count, which lagged by
+        # up to a chunk; line 502 is past the first chunk
+        codes = [code for code, _ in generated_pairs(600)]
+        text = end.join([COUNTRIES_HEADER.strip(), *(f"{c},Nation {c},1,1,1" for c in codes), ""])
+        data = text.encode().replace(f"Nation {codes[500]}".encode(), b"Nation \xff")
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + data)
+        with pytest.raises(MalformedRowError) as exc:
+            load_countries(path)
+        assert str(exc.value) == f"{path}:502: not UTF-8 text (invalid start byte)"
+
+    @pytest.mark.parametrize(
+        ("read", "text", "twice"),
+        [
+            (load_countries, COUNTRIES_HEADER.strip() + ",gdp,name\nAAA,Alpha,1,1,1,2,Beta\n", "name, gdp"),
+            (ingestion._read_flows_blocks, FLOWS_HEADER.strip() + ",exports\nAAA,BBB,1,2,9\n", "exports"),
+        ],
+        ids=["countries", "flows-block-parser"],
+    )
+    def test_column_named_twice_is_refused(self, tmp_path, read, text, twice):
+        # the first copy used to be read and the second ignored; load_flows
+        # is checked by test_header_fault_is_raised_without_deferral
+        path = write(tmp_path, "f.csv", text)
+        with pytest.raises(MissingColumnError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: column(s) named twice {twice}"
+
+    def test_column_not_read_may_be_named_twice(self, tmp_path):
+        path = write(tmp_path, "f.csv", FLOWS_HEADER.strip() + ",note,note\nAAA,BBB,1,2,x,y\n")
+        assert load_flows(path) == FlowTable(("AAA", "BBB"), [0], [1], [1.0], [2.0])
 
 
 class TestByteOrderMark:
