@@ -18,9 +18,16 @@ Four operators are provided, all reading a matrix ``D`` whose entry
 ``G = e^-lambda * (exp(lambda*D) - I)``, computed by scaling and squaring on
 ``exp(x) - 1`` (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)):
 ``heat_kernel = G + e^-lambda * I`` and ``pwp = G / (1 - e^-lambda)``.
-Neither forms ``e^lambda``, so both are finite for every ``lambda > 0`` with
-``lambda * ||D||_1 <= 2**31`` (largest column sum of ``|D|``); beyond that
-the scaling needs more than ``_MAX_SQUARINGS`` squarings and raises
+The Taylor degree and the squaring count are planned together from the
+norms of the powers of ``|D|`` (Al-Mohy & Higham 2009, SIAM J. Matrix Anal.
+Appl. 31(3)), and the polynomial is evaluated with two stored powers
+(Paterson & Stockmeyer 1973, SIAM J. Comput. 2(1)).  Neither operator forms
+``e^lambda``, so both are finite for every ``lambda > 0`` with
+``lambda * alpha(D) <= 2**32 * theta_30`` (about 1.5e10), where
+``alpha(D) = min over p = 1..6 of max(d_p, d_{p+1})`` and
+``d_p = max(|| |D|^p ||_1, || |D|^p ||_inf) ** (1/p)``.  ``alpha(D)`` lies
+between the spectral radius of ``D`` and ``max(||D||_1, ||D||_inf)``.  Beyond
+that the scaling needs more than ``_MAX_SQUARINGS`` squarings and raises
 :class:`OverflowError`.
 
 Each operator accepts an :class:`~tradenet.model.InfluenceMatrix` (returning
@@ -40,7 +47,6 @@ import numpy as np
 
 from .errors import (
     ColumnStochasticityError,
-    ConvergenceError,
     DimensionMismatchError,
     NegativeEntryError,
 )
@@ -56,8 +62,26 @@ __all__ = [
     "heat_kernel",
 ]
 
-_SERIES_TOLERANCE = 2.0**-53  # series stops at a term this small relative to the sum
-_TAYLOR_TERM_CAP = 128  # unreachable for scaled norm <= 0.5; guards the loop
+# _THETA[m]: the largest double with theta**m * e**theta / (m+1)! <= 2**-53, so the
+# Taylor polynomial of exp(x) - 1 of degree m is exact to unit roundoff, relative to
+# ||x||, wherever the norm bound of x is at most theta
+_THETA = {
+    2: 2.5809567946450946e-08,
+    4: 0.0003397120758889193,
+    6: 0.00906394769366993,
+    8: 0.049881413880399864,
+    10: 0.14401316089619626,
+    12: 0.29909978219073363,
+    14: 0.5127944186695251,
+    16: 0.7783122686385472,
+    18: 1.087825763625857,
+    20: 1.4339988951133145,
+    22: 1.8105082039852736,
+    24: 2.2121075682332556,
+    26: 2.634519263943621,
+    28: 3.0742778261872727,
+    30: 3.5285776080709157,
+}
 _MAX_SQUARINGS = 32  # inputs needing more are refused with OverflowError
 
 
@@ -94,19 +118,62 @@ def _check_p(p) -> None:
         raise ValueError(f"p must lie in (0, 1), got {p}")
 
 
+def _plan(a: np.ndarray) -> tuple[int, int]:
+    """The even degree ``m`` and squaring count ``k`` for ``exp(a) - I`` in the fewest products.
+
+    ``d_p = max(||B^p||_1, ||B^p||_inf) ** (1/p)`` with ``B = |a|``, for
+    p = 1..7, from the vectors ``1^T B^p`` and ``B^p 1``: exact norms of
+    ``a**p`` for ``a >= 0``, upper bounds otherwise.  For ``j >= p*(p-1)``,
+    ``||a**j|| <= max(d_p, d_{p+1})**j`` (Al-Mohy & Higham 2009, SIAM J.
+    Matrix Anal. Appl. 31(3)), so degree ``m`` bounds its remainder with
+    ``alpha_m``, the least such ``max`` over ``p*(p-1) <= m + 1``, and needs
+    ``k`` squarings to bring ``alpha_m / 2**k`` to ``_THETA[m]``.  Of the
+    plans with ``k <= _MAX_SQUARINGS`` the one with the fewest products
+    ``k + m/2`` wins, ties going to fewer squarings.
+    """
+    b = np.abs(a)
+    left = right = np.ones(len(a))
+    norms = []
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge input gives inf or nan
+        for _ in range(7):
+            left, right = left @ b, b @ right
+            norms.append(np.maximum(left.max(), right.max()))
+        d = np.array(norms) ** (1.0 / np.arange(1, 8))
+    d[np.isnan(d)] = math.inf
+    plans = []
+    for m, theta in _THETA.items():
+        alpha = min(max(d[p - 1], d[p]) for p in range(1, 7) if p * (p - 1) <= m + 1)
+        if alpha <= theta * 2.0**_MAX_SQUARINGS:
+            k = 0 if alpha <= theta else math.ceil(math.log2(alpha / theta))
+            plans.append((k + m // 2, k, m))
+    if not plans:  # alpha is now alpha_30, the least bound of all
+        raise OverflowError(
+            f"matrix norm bound {alpha:g} needs more than {_MAX_SQUARINGS} squarings"
+        )
+    _, k, m = min(plans)
+    return m, k
+
+
 def _damped_expm1(a: np.ndarray, s: float) -> np.ndarray:
     """``e**-s * (exp(a) - I)`` by scaling and squaring, for a square array ``a``.
 
-    ``a`` is scaled in place by ``2**k`` so its 1-norm is at most 0.5.  The series
-    ``x + x**2/2! + ...`` (``exp(x) - 1``, no constant term) is summed at
-    ``a / 2**k`` until a term falls below unit roundoff times the largest
-    entry of the sum, and the sum is multiplied by ``e**-c`` with
-    ``c = s / 2**k``.  Each of the ``k`` doublings applies
+    :func:`_plan` picks a degree ``m`` and a squaring count ``k``, and ``a``
+    is scaled in place by ``2**k``.  The Taylor polynomial
+    ``sum_{j=1..m} x**j / j!`` of ``exp(x) - 1`` (no constant term) is
+    evaluated at ``x = a / 2**k`` with two stored powers, ``x`` and
+    ``y = x @ x`` (Paterson & Stockmeyer 1973, SIAM J. Comput. 2(1)), by
+    Horner's rule in ``y``:
+    ``acc <- y @ (acc + b[2i+2] I) + b[2i+1] x`` with ``b[j] = 1/j!``, in
+    ``m/2`` products.  It is damped by ``e**-c`` with ``c = s / 2**k``, half
+    in the coefficients and half after, so neither factor underflows for
+    ``c < 1400``.  Each of the ``k`` doublings applies
     ``exp(2x) - 1 = (exp(x) - 1)**2 + 2*(exp(x) - 1)`` with the damping
     folded in, ``G <- G @ G + 2*e**-c * G``, and doubles ``c``.
 
-    No identity enters the sum, so an entry that no path reaches stays
-    exactly zero, and the undamped ``exp(a)`` is never formed.
+    No identity enters the sum and every coefficient is positive, so an
+    entry that no path reaches stays exactly zero, and the undamped
+    ``exp(a)`` is never formed.  Peak memory is four n x n arrays: ``x``,
+    ``y``, the sum and a product buffer, which also takes each ``b x``.
     """
     n = a.shape[0]
     if n == 0:
@@ -114,35 +181,26 @@ def _damped_expm1(a: np.ndarray, s: float) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of a non-finite matrix")
 
-    norm = float(np.abs(a).sum(axis=0).max())
-    squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
-    if squarings > _MAX_SQUARINGS:
-        raise OverflowError(
-            f"matrix 1-norm {norm:g} needs {squarings} squarings (limit {_MAX_SQUARINGS})"
-        )
-
+    m, squarings = _plan(a)
     a /= 2.0**squarings  # in place: every caller passes a private copy
-    term = a
-    result = a.copy()
-    terms = 1
+    c = s / 2.0**squarings
+    coefficients = [math.exp(-c / 2) / math.factorial(j) for j in range(m + 1)]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow reported by _pack
-        while (term_norm := np.abs(term).max()) > _SERIES_TOLERANCE * np.abs(result).max():
-            if terms == _TAYLOR_TERM_CAP:
-                raise ConvergenceError(
-                    f"Taylor series not converged after {terms} terms "
-                    f"(last term norm {term_norm:.3g})"
-                )
-            terms += 1
-            term = term @ a
-            term /= terms
-            result += term
-        c = s / 2.0**squarings
-        result *= math.exp(-c)
-        square = np.empty_like(result)  # reused, so the doublings allocate nothing
+        a2 = a @ a
+        result = a2 * coefficients[m]
+        product = np.multiply(a, coefficients[m - 1])  # reused, so neither phase allocates per step
+        result += product
+        for j in range(m - 2, 0, -2):
+            result.flat[:: n + 1] += coefficients[j]  # y @ (acc + b I) = y @ acc + b y
+            np.matmul(a2, result, out=product)
+            result, product = product, result
+            result += np.multiply(a, coefficients[j - 1], out=product)  # the old sum is spent
+        del a2
+        result *= math.exp(-c / 2)
         for _ in range(squarings):
-            np.matmul(result, result, out=square)
+            np.matmul(result, result, out=product)
             result *= 2.0 * math.exp(-c)
-            result += square
+            result += product
             c *= 2.0
     return result
 
@@ -157,8 +215,6 @@ def matrix_exponential(m) -> np.ndarray:
     ------
     DimensionMismatchError
         If ``m`` is not square.
-    ConvergenceError
-        If the series has not converged after ``_TAYLOR_TERM_CAP`` terms.
     OverflowError
         If the required scaling exceeds ``_MAX_SQUARINGS`` or the result
         leaves the representable range.
@@ -186,7 +242,8 @@ def pwp(direct, lam: float = 1.0):
     output approaches ``D`` itself.
 
     Computed as ``e**-lam * (exp(lam*D) - I) / (1 - e**-lam)``, which never
-    forms ``e**lam``; defined for finite ``lam > 0`` with ``lam * ||D||_1 <= 2**31``.
+    forms ``e**lam``; defined for finite ``lam > 0`` with
+    ``lam * alpha(D) <= 2**32 * theta_30``, about 1.5e10 (see the module docstring).
     """
     out, source = _kernel(direct, lam)
     out /= -math.expm1(-lam)
@@ -265,7 +322,8 @@ def heat_kernel(direct, lam: float = 1.0):
     """Indirect influences as ``exp(lam*(D - I))``.
 
     Computed as ``e**-lam * (exp(lam*D) - I) + e**-lam * I``, with no shift
-    of ``D``; defined for finite ``lam > 0`` with ``lam * ||D||_1 <= 2**31``.
+    of ``D``; defined for finite ``lam > 0`` with
+    ``lam * alpha(D) <= 2**32 * theta_30``, about 1.5e10 (see the module docstring).
     """
     out, source = _kernel(direct, lam)
     out.flat[:: len(out) + 1] += math.exp(-lam)

@@ -55,10 +55,6 @@ class ColumnStochasticityError(TradeNetError):
     """A column of a PageRank input does not sum to 0 or 1."""
 
 
-class ConvergenceError(TradeNetError):
-    """Iteration budget exhausted before reaching the requested tolerance."""
-
-
 class NegativeEntryError(TradeNetError):
     """An operation requiring non-negative entries received a negative one."""
 
