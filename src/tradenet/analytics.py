@@ -14,7 +14,8 @@ Points on a mean line fall on the low-influence / independent side.  A
 value counts as on the line when it is ``math.isclose`` to the mean with
 ``rel_tol=1e-9``, so values equal to the mean in exact arithmetic (every
 PageRank influence; every dependence under full-coverage trade weights) do
-not split on rounding noise.
+not split on rounding noise.  Rankings tie such values the same way: a value
+that close to the next lower one ties with it, and ties go by label order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     NotAPermutationError,
     ZeroDirectEntryError,
 )
-from .model import InfluenceMatrix, TradeNetwork
+from .model import InfluenceMatrix
 
 __all__ = [
     "PlanePoint",
@@ -43,7 +44,6 @@ __all__ = [
     "pair_connectedness",
     "normalized_increment",
     "ranking_distance",
-    "degree_stats",
 ]
 
 CRITERIA = ("dependence", "influence", "connectedness")
@@ -101,9 +101,10 @@ def _degrees(m: InfluenceMatrix) -> tuple[np.ndarray, np.ndarray]:
     return m.values.sum(axis=1), m.values.sum(axis=0)
 
 
-def _above(values: np.ndarray, mean: float) -> np.ndarray:
-    # above the mean and not math.isclose to it with rel_tol=_TIE_RTOL
-    return values - mean > _TIE_RTOL * np.maximum(np.abs(values), abs(mean))
+def _above(values: np.ndarray, mean) -> np.ndarray:
+    # above the mean (a float, or one per value) and not math.isclose to it
+    # with rel_tol=_TIE_RTOL
+    return values - mean > _TIE_RTOL * np.maximum(np.abs(values), np.abs(mean))
 
 
 def plane(m: InfluenceMatrix) -> list[PlanePoint]:
@@ -121,10 +122,14 @@ def plane(m: InfluenceMatrix) -> list[PlanePoint]:
 
 
 def _positions(values: np.ndarray) -> list[int]:
-    # descending by value; ties broken by label position, which is
-    # name-alphabetical for matrices built from a network
+    # descending by value; a value not _above its successor ties with it, and
+    # ties are broken by label position, which is name-alphabetical for
+    # matrices built from a network
+    order = np.argsort(-values, kind="stable")
+    ordered = values[order]
+    tie = np.concatenate(([0], np.cumsum(_above(ordered[:-1], ordered[1:]))))
     ranks = np.empty(len(values), dtype=np.intp)
-    ranks[np.argsort(-values, kind="stable")] = np.arange(1, len(values) + 1)
+    ranks[order[np.lexsort((order, tie))]] = np.arange(1, len(values) + 1)
     return ranks.tolist()
 
 
@@ -217,18 +222,3 @@ def ranking_distance(r: dict[str, int], l: dict[str, int]) -> float:
             raise NotAPermutationError(f"{name} ranking is not a permutation of 1..{n}")
     total = sum((r[code] - l[code]) ** 2 for code in r)
     return math.sqrt(total) / ((n - 1) * math.sqrt(n))
-
-
-def degree_stats(network: TradeNetwork) -> tuple[float, dict[str, int]]:
-    """Average partner count and the per-country counts.
-
-    A partner of ``A`` is any distinct country appearing with ``A`` on a
-    flow record, in either role.
-    """
-    flows = network.flows
-    linked = np.zeros((network.n, network.n), dtype=bool)
-    linked[flows.reporter, flows.partner] = True
-    linked |= linked.T
-    counts = dict(zip(network.codes, linked.sum(axis=1).tolist()))
-    average = sum(counts.values()) / len(counts) if counts else 0.0
-    return average, counts

@@ -8,7 +8,8 @@ Two comma-separated UTF-8 files with mandatory headers describe a dataset:
 Either file may start with a UTF-8 byte order mark.  Amounts are plain
 decimals in thousands of US dollars (decimal point, no thousands
 separators).  Every parse error carries the 1-based line number of the
-offending row; when a file has several faults, the first line wins.
+offending row; when a file has several faults, the first line wins.  A byte
+that is not UTF-8 is a fault of the line that holds it (see :func:`_csv_reader`).
 
 The file format is decided here, for every file the package reads or
 writes: :func:`csv_blocks` reads a CSV file (:func:`csv_header` its header
@@ -35,6 +36,7 @@ import re
 import warnings
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -62,6 +64,7 @@ COUNTRY_COLUMNS = ("code", "name", "gdp", "total_exports", "total_imports")
 FLOW_COLUMNS = ("reporter", "partner", "exports", "imports")
 
 _SPECIAL = re.compile('[,"\n\r]')  # a cell holding one of these is quoted
+_ESCAPED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, decoded by surrogateescape
 
 # rows read at once, by the block parser and by the flows fast path; bounds
 # their memory on large files (np.loadtxt allocates max_rows rows up front)
@@ -86,31 +89,45 @@ def _header(path: str | Path, reader, columns: tuple[str, ...]) -> list[str]:
     return header
 
 
-def _read_fault(path: str | Path, reader, exc: csv.Error | UnicodeDecodeError) -> MalformedRowError:
-    """``exc``, raised by :mod:`csv` or the UTF-8 decoder reading ``path``, behind ``path:line:``.
+@contextmanager
+def _csv_reader(path: str | Path):
+    """A :mod:`csv` reader of ``path`` that raises every fault it meets behind ``path:line:``.
 
-    The decoder reads ahead of ``reader``'s line count, so a byte that is not
-    UTF-8 is found again in the file's bytes, whose lines end at ``\\r``,
-    ``\\n`` and ``\\r\\n`` as :mod:`csv` counts them.
+    The file is decoded with ``errors="surrogateescape"``, so a byte that is
+    not UTF-8 arrives as a lone surrogate in the line that holds it.  The
+    reader reads the lines before that one, then raises the line's
+    :class:`MalformedRowError`, ``not UTF-8 text (reason)``, the reason the
+    decoder gives for the line's bytes.  Lines are counted as :mod:`csv`
+    counts them: each ends at ``\\r``, ``\\n`` or ``\\r\\n``.
     """
-    if isinstance(exc, csv.Error):
-        return MalformedRowError(f"{path}:{reader.line_num}: {exc}")
-    line, data = reader.line_num, Path(path).read_bytes()  # kept only if the file changed since
-    try:
-        data.decode()
-    except UnicodeDecodeError as first:
-        exc, line = first, len((data[: first.start] + b".").splitlines())
-    return MalformedRowError(f"{path}:{line}: not UTF-8 text ({exc.reason})")
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+
+        def lines():  # 64 KiB at a time: a check a line would cost every row
+            read = 0  # lines before the chunk
+            for chunk in iter(lambda: handle.readlines(1 << 16), []):
+                text = "".join(chunk)
+                if not text.isascii() and _ESCAPED.search(text):  # isascii costs nothing
+                    i = next(i for i, line in enumerate(chunk) if _ESCAPED.search(line))
+                    yield chunk[:i]
+                    try:  # the line's bytes with its end, as a decode of the whole file sees them
+                        chunk[i].encode(errors="surrogateescape").decode()
+                    except UnicodeDecodeError as exc:
+                        reason = exc.reason
+                    raise MalformedRowError(f"{path}:{read + i + 1}: not UTF-8 text ({reason})")
+                read += len(chunk)
+                yield chunk
+
+        reader = csv.reader(chain.from_iterable(lines()))
+        try:
+            yield reader
+        except csv.Error as exc:  # a cell over csv.field_size_limit, a NUL under Python 3.10
+            raise MalformedRowError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def csv_header(path: str | Path, columns: tuple[str, ...]) -> list[str]:
     """The header of the CSV file at ``path``, read and checked as :func:`csv_blocks` reads it."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            return _header(path, reader, columns)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise _read_fault(path, reader, exc) from None
+    with _csv_reader(path) as reader:
+        return _header(path, reader, columns)
 
 
 def csv_blocks(path: str | Path, columns: tuple[str, ...]):
@@ -120,18 +137,16 @@ def csv_blocks(path: str | Path, columns: tuple[str, ...]):
     1-based line numbers and ``cells`` one list per requested column of its
     cells, each as :mod:`csv` unquotes it, then stripped (``str.strip``).
     Blank rows and rows of empty cells are skipped.  A row with the wrong
-    field count ends the file, as does a fault :mod:`csv` or the UTF-8
-    decoder raises (a cell over :func:`csv.field_size_limit`, a byte that is
-    not UTF-8, a NUL under Python 3.10): its :class:`MalformedRowError`,
-    behind ``path:line:``, is raised after the rows read before it have been
-    yielded, since those may hold an earlier fault.
+    field count ends the file, as does a fault met reading it (see
+    :func:`_csv_reader`): its :class:`MalformedRowError` is raised after the
+    rows read before it have been yielded, since those may hold an earlier
+    fault.  So no cell yielded holds a byte that is not UTF-8.
     """
     fault = None
     cells: list[str] = []  # the block's rows, concatenated
     lines: list[int] = []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:  # around the loop, not each row: a row costs nothing more
+    try:  # around the loop, not each row: a row costs nothing more
+        with _csv_reader(path) as reader:
             header = _header(path, reader, columns)
             width = len(header)
             positions = [header.index(c) for c in columns]
@@ -153,8 +168,8 @@ def csv_blocks(path: str | Path, columns: tuple[str, ...]):
                 if len(lines) == _BLOCK_ROWS:
                     yield block()
                     cells, lines = [], []
-        except (csv.Error, UnicodeDecodeError) as exc:
-            fault = _read_fault(path, reader, exc)
+    except MalformedRowError as exc:
+        fault = exc
     if lines:
         yield block()
     if fault is not None:
@@ -245,20 +260,29 @@ def _read_flows_fast(path: str | Path) -> tuple[FlowTable | None, str]:
     reporter column before partner column, in order of first appearance.
     A table is returned only when it equals the block parser's, faulty rows
     included.  So the file must hold no NUL (a fixed-width string drops a
-    trailing one), and no code cell may fill ``_CODE_WIDTH`` characters (it
-    may have been cut short).  ``"`` quotes a cell as in :mod:`csv`: a quote
-    is doubled, a separator or line end may be inside.  numpy skips the
-    whitespace ``str.strip`` removes around an amount, ``\\x1c``-``\\x1f``
-    included.  A row the C parser rejects, such as one with another field
-    count, a row of empty cells or an amount it does not read (``float``
-    reads ``1_000``), sends the file to the block parser too.  numpy cannot
-    strip a string, so code cells are mapped to their stripped codes here,
-    the one place besides :func:`csv_blocks` that strips a cell.
+    trailing one), no code cell may fill ``_CODE_WIDTH`` characters (it may
+    have been cut short), and no line may pass :func:`csv.field_size_limit`:
+    the byte pass that looks for NUL also defers on an aligned stretch of
+    half that limit (at most 1 MiB) with no line end, which every such line
+    spans (a quoted cell over the limit that spans lines is not seen).  A
+    byte that is not UTF-8 makes the decoder raise, which defers too.  ``"``
+    quotes a cell as in :mod:`csv`: a quote is doubled, a separator or line
+    end may be inside.
+    numpy skips the whitespace ``str.strip`` removes around an amount,
+    ``\\x1c``-``\\x1f`` included.  A row the C parser rejects, such as one
+    with another field count, a row of empty cells or an amount it does not
+    read (``float`` reads ``1_000``), sends the file to the block parser too.
+    numpy cannot strip a string, so code cells are mapped to their stripped
+    codes here, the one place besides :func:`csv_blocks` that strips a cell.
     """
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
+    size = max(1, min(csv.field_size_limit() // 2, 1 << 20))  # of a stretch
+    with open(path, "rb") as handle:  # whole stretches a read, about 1 MiB, so they stay aligned
+        for chunk in iter(lambda: handle.read(size * ((1 << 20) // size)), b""):
             if b"\0" in chunk:
                 return None, "NUL character"
+            for start in range(0, len(chunk) - size + 1, size):
+                if chunk.find(b"\n", start, start + size) < 0 and chunk.find(b"\r", start, start + size) < 0:
+                    return None, f"{size} bytes with no line end"
     index: dict[str, int] = {}  # code -> position in the table's codes
     raw: dict[str, int] = {}  # cell as written -> index of its stripped code
     codes, amounts = [], []  # per block: (reporter, partner) indices, (exports, imports)

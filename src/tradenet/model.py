@@ -22,7 +22,6 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +40,7 @@ __all__ = [
     "TradeNetwork",
     "MatrixKind",
     "InfluenceMatrix",
-    "BiDegree",
     "build_network",
-    "bidegree",
 ]
 
 _CODE_RE = re.compile(r"[A-Z0-9]{2,3}")
@@ -470,17 +467,3 @@ class InfluenceMatrix:
     def entry(self, a: str, b: str) -> float:
         """Influence of ``b`` on ``a`` (dependence of ``a`` on ``b``)."""
         return float(self.values[self.index(a), self.index(b)])
-
-
-class BiDegree(NamedTuple):
-    dependence: float
-    influence: float
-
-
-def bidegree(m: InfluenceMatrix, code: str) -> BiDegree:
-    """Dependence (row sum) and influence (column sum) of one country.
-
-    Applies to direct and indirect matrices alike.
-    """
-    i = m.index(code)
-    return BiDegree(float(m.values[i, :].sum()), float(m.values[:, i].sum()))

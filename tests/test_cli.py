@@ -219,7 +219,7 @@ class TestWriteMatrixCsv:
         assert str(exc.value) == f"{tmp_path / message}"
 
     def test_byte_not_utf8_in_the_first_chunk_is_located(self, tmp_path):
-        # the header read decodes the file's first 8 KiB, line 3 included
+        # the header read decodes line 3 with line 1, but reports a fault of line 1 alone
         (tmp_path / "m.csv").write_bytes(b"code,AAA,BBB\nAAA,0,1\nBBB,2\xff,0\n")
         with pytest.raises(MalformedRowError) as exc:
             read_matrix_csv(tmp_path / "m.csv")

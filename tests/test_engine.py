@@ -637,6 +637,25 @@ class TestDecimalOracle:
         d = np.diag([0.5] * 3, k=1)
         assert relative_error(pwp(d, 1e-20), taylor_oracle(d, 1e-20)[0]) < 1e-12
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the degree bounds the truncation relative to the norm, not to each "
+        "entry, so an entry reached only by long cycles is off by about 1e-12",
+    )
+    def test_entry_reached_only_by_long_cycles(self):
+        # found by the hub test's targeted search: the plan is (10, 0), and
+        # entries [0, 4] and [4, 4] (6.1e-8 in pwp) are reached only by paths
+        # of 5 + 2j steps, through the 1 <-> 5 pair; both operators are off by
+        # 1.3e-12 there, a plain float64 series by 2.3e-16
+        d = np.array([
+            [0, .5, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, .5, 0, 0, .5, 0],
+            [0, .5, .5, 0, 0, 0], [0, .5, 0, 0, 0, 0], [0, .5, 0, .5, 0, 0],
+        ])
+        lam = math.exp(-2.25)
+        for operator, exact in zip((pwp, heat_kernel), taylor_oracle(d, lam)):
+            assert relative_error(operator(d, lam), exact) < 1e-13, operator.__name__
+
 
 class TestMethodSpec:
     def test_defaults(self):

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -25,7 +26,8 @@ from tradenet import (
     subset,
 )
 from tradenet import ingestion
-from tradenet.ingestion import FLOW_COLUMNS
+from tradenet.cli import _read_ranking, read_matrix_csv
+from tradenet.ingestion import COUNTRY_COLUMNS, FLOW_COLUMNS
 from tradenet.model import flow_fault
 from tradenet.errors import (
     DuplicateCountryError,
@@ -34,6 +36,7 @@ from tradenet.errors import (
     MissingColumnError,
     NegativeAmountError,
     SelfFlowError,
+    TradeNetError,
     UnknownCountryError,
 )
 
@@ -452,6 +455,8 @@ class TestFastPath:
         rows=[["AAA", "BBB", " 3 ", "1e5", "x"], ["BBB", "AAA", "1_000", "-0", "x"]],
         **{**FUZZ_PLAIN, "quoting": csv.QUOTE_NONNUMERIC},
     )
+    # a note cell over csv's field limit, which the fast path read as "x"
+    @example(rows=[["AAA", "BBB", "1", "1", "x" * 200_000]], **{**FUZZ_PLAIN, "extra": True})
     def test_fast_path_reads_the_block_parsers_table_or_defers(
         self, rows, order, extra, ends, bom, block_rows, quoting
     ):
@@ -494,6 +499,37 @@ class TestFastPath:
         with caplog.at_level("DEBUG", logger="tradenet.ingestion"):
             load_flows(path)
         assert f"{path}: block parser used (NUL character)" in caplog.messages
+
+    def test_line_over_csvs_field_limit_defers(self, tmp_path):
+        # the fast path read the note as "x" and returned a table
+        path = write(tmp_path, "f.csv", FLOWS_HEADER.strip() + ",note\nAAA,BBB,1,1," + "x" * 200_000 + "\n")
+        assert ingestion._read_flows_fast(path) == (None, "65536 bytes with no line end")
+        with pytest.raises(MalformedRowError) as exc:
+            load_flows(path)
+        assert str(exc.value) == f"{path}:2: field larger than field limit (131072)"
+
+    def test_line_over_csvs_field_limit_across_reads_defers(self, tmp_path):
+        # stretches of 50,000 bytes, 20 a read: the long line starts 20,000
+        # bytes before the second read, so no stretch of the first holds it
+        rows = "".join(f"AAA,BBB,1,{i:07d},x\n" for i in range(980_000 // 20))
+        text = FLOWS_HEADER.strip() + ",note\n" + rows
+        path = write(tmp_path, "f.csv", text + "AAA,CCC,1,1," + "x" * 100_001 + "\n")
+        assert 980_000 < len(text) < 1_000_000
+        previous = csv.field_size_limit(100_000)
+        try:
+            assert ingestion._read_flows_fast(path) == (None, "50000 bytes with no line end")
+        finally:
+            csv.field_size_limit(previous)
+
+    @pytest.mark.parametrize("limit", [1 << 30, 2**63 - 1])
+    def test_long_line_within_a_raised_field_limit_is_read(self, tmp_path, limit):
+        path = write(tmp_path, "f.csv", FLOWS_HEADER.strip() + ",note\nAAA,BBB,1,1," + "x" * 3_000_000 + "\n")
+        previous = csv.field_size_limit(limit)
+        try:
+            assert ingestion._read_flows_fast(path) == (None, f"{1 << 20} bytes with no line end")
+            assert load_flows(path) == FlowTable(("AAA", "BBB"), [0], [1], [1.0], [1.0])
+        finally:
+            csv.field_size_limit(previous)
 
     @pytest.mark.parametrize(
         ("text", "message"),
@@ -599,12 +635,23 @@ class TestCountryFaultPrecedence:
             load_countries(path)
 
 
+def not_utf8(path, data: bytes) -> str:
+    """The message for the first byte of ``data`` that is not UTF-8, by an oracle.
+
+    The oracle decodes the whole file at once and counts the line ends before
+    the byte, as ``bytes.splitlines`` finds them: ``\\r``, ``\\n`` and ``\\r\\n``.
+    """
+    with pytest.raises(UnicodeDecodeError) as exc:
+        data.decode()
+    line = len((data[: exc.value.start] + b".").splitlines())
+    return f"{path}:{line}: not UTF-8 text ({exc.value.reason})"
+
+
 class TestReadFaults:
     @pytest.mark.parametrize("bom", [False, True])
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     def test_byte_not_utf8_is_located_at_csvs_line(self, tmp_path, end, bom):
-        # the decoder reads 8 KiB ahead of csv's line count, which lagged by
-        # up to a chunk; line 502 is past the first chunk
+        # line 502 lies past the first 8 KiB the decoder reads
         codes = [code for code, _ in generated_pairs(600)]
         text = end.join([COUNTRIES_HEADER.strip(), *(f"{c},Nation {c},1,1,1" for c in codes), ""])
         data = text.encode().replace(f"Nation {codes[500]}".encode(), b"Nation \xff")
@@ -613,6 +660,106 @@ class TestReadFaults:
         with pytest.raises(MalformedRowError) as exc:
             load_countries(path)
         assert str(exc.value) == f"{path}:502: not UTF-8 text (invalid start byte)"
+
+    @pytest.mark.parametrize("bom", [False, True])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("kind", ["countries", "flows", "matrix", "ranking"])
+    def test_earlier_fault_wins_over_a_byte_not_utf8(self, tmp_path, kind, end, bom):
+        # the decoder refused the whole 8 KiB holding line 502, so its byte
+        # was reported ahead of the fault on line 490, in the same 8 KiB
+        codes = [code for code, _ in generated_pairs(601)]
+        header, row, read, message = {
+            "countries": (COUNTRIES_HEADER.strip(), lambda i: f"{codes[i]},Nation {i},1,1,1",
+                          load_countries, f"code {codes[0]} already defined on line 2"),
+            "flows": (FLOWS_HEADER.strip(), lambda i: f"{codes[i]},{codes[i + 1]},1,1", load_flows,
+                      f"duplicate flow record for pair ({codes[0]}, {codes[1]}) already defined on line 2"),
+            "matrix": ("code,AAX,ABX", lambda i: f"{codes[i]},0,1" if i >= 0 else "AAX,0,x",
+                       read_matrix_csv, "could not convert string to float: 'x'"),
+            "ranking": ("code,name,value,rank", lambda i: f"{codes[i]},Nation {i},0.5,{i + 1}",
+                        _read_ranking, f"code {codes[0]} already defined on line 2"),
+        }[kind]
+        lines = [header, *map(row, range(600))]
+        lines[489] = row(-1 if kind == "matrix" else 0)  # line 2's row again, or a cell 'x'
+        lines[501] = "\udcff" + lines[501]  # the byte 0xff, written by surrogateescape
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + end.join([*lines, ""]).encode("utf-8", "surrogateescape"))
+        with pytest.raises(TradeNetError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}:490: {message}"
+
+    @pytest.mark.parametrize(
+        ("data", "line", "reason"),
+        [
+            (b'AAA,"Al\xffpha\nBeta",1,1,1\n', 2, "invalid start byte"),
+            (b'AAA,"Alpha\nBe\xffta",1,1,1\n', 3, "invalid start byte"),
+            (b'AAA,"Alpha\r\nBe\xffta\r\n",1,1,1\r\n', 3, "invalid start byte"),
+            (b"AAA,Alpha,1,1,1\rBBB,Be\xfft,1,1,1\r", 3, "invalid start byte"),
+            (b"AAA,Alpha,1,1,1\nBBB,Be\xfft,1\n", 3, "invalid start byte"),
+            (b"AAA,Alpha\xc3\nBBB,Beta,1,1,1\n", 2, "invalid continuation byte"),
+            (b"AAA,Alpha,1,1,1\nBBB,Beta,1,1,1\xc3\n", 3, "invalid continuation byte"),
+            (b"AAA,Alpha,1,1,1\nBBB,Beta,1,1,1\xc3\r\n", 3, "invalid continuation byte"),
+            (b'AAA,Alpha,1,1,1\nBBB,Beta,1,1,"1\xe2\x82"', 3, "invalid continuation byte"),
+            (b"AAA,Alpha,1,1,1\nBBB,Beta,1,1,1\xc3", 3, "unexpected end of data"),
+            (b"AAA,Alpha,1,1,1\nBBB,Beta,1,1,1\xf0\x9f\x98", 3, "unexpected end of data"),
+            (b"AAA,\xed\xa0\x80,1,1,1\n", 2, "invalid continuation byte"),
+        ],
+        ids=["quoted-first-line", "quoted-second-line", "quoted-crlf", "cr-ends", "field-count",
+             "cut-short-mid-file", "cut-short-last-line", "cut-short-crlf", "cut-short-quoted",
+             "cut-short-end-of-file", "cut-short-end-of-file-4", "surrogate-encoded"],
+    )
+    def test_byte_not_utf8_reads_as_a_whole_decode_reads_it(self, tmp_path, data, line, reason):
+        # a byte at the end of a line was seen without its line end, as at the end of the data
+        path = tmp_path / "c.csv"
+        path.write_bytes(COUNTRIES_HEADER.encode() + data)
+        with pytest.raises(MalformedRowError) as exc:
+            load_countries(path)
+        assert str(exc.value) == not_utf8(path, path.read_bytes())
+        assert str(exc.value) == f"{path}:{line}: not UTF-8 text ({reason})"
+
+    @pytest.mark.parametrize(
+        "read", [load_countries, lambda path: ingestion.csv_header(path, COUNTRY_COLUMNS)],
+        ids=["load_countries", "csv_header"],
+    )
+    def test_byte_not_utf8_in_the_header_comes_before_its_columns(self, tmp_path, read):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"co\xffde,name\nAAA,Alpha\n")
+        with pytest.raises(MalformedRowError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}:1: not UTF-8 text (invalid start byte)"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="\0"),
+                                       max_size=6), min_size=3, max_size=3), max_size=8),
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
+        bom=st.booleans(),
+        bad=st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\xed\xa0\x80"]),
+        at=st.floats(0, 1),
+        block_rows=st.sampled_from([1, 2, ingestion._BLOCK_ROWS]),
+    )
+    def test_cells_yielded_hold_no_byte_not_utf8(self, rows, ends, bom, bad, at, block_rows):
+        # rows written by csv, then a byte sequence that is not UTF-8 put anywhere after the header
+        buffer = io.StringIO()
+        for i, cells in enumerate([["a", "b", "c"], *rows]):
+            csv.writer(buffer, lineterminator=ends[i % len(ends)]).writerow(cells)
+        data = buffer.getvalue().encode()
+        start = data.index(ends[0].encode()) + len(ends[0])
+        cut = start + round(at * (len(data) - start))
+        data = b"\xef\xbb\xbf" * bom + data[:cut] + bad + data[cut:]
+        yielded = []
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingestion, "_BLOCK_ROWS", block_rows):
+            path = Path(tmp) / "f.csv"
+            path.write_bytes(data)
+            with pytest.raises(MalformedRowError) as exc:
+                for lines, cells in ingestion.csv_blocks(path, ("a", "b", "c")):
+                    yielded += [cell for column in cells for cell in column]
+            expected = not_utf8(path, data)
+        got = str(exc.value)
+        if "fields" in got:  # csv's writer leaves "\n" unquoted when lines end in "\r"
+            assert int(got.split(":")[1]) < int(expected.split(":")[1])  # the earlier line wins
+        else:
+            assert got == expected
+        assert not re.search("[\udc80-\udcff]", "".join(yielded))  # surrogateescape's bytes
 
     @pytest.mark.parametrize(
         ("read", "text", "twice"),

@@ -7,7 +7,6 @@ from tradenet import (
     FlowTable,
     InfluenceMatrix,
     MatrixKind,
-    bidegree,
     build_network,
     load_flows,
     save_flows,
@@ -191,41 +190,3 @@ class TestInfluenceMatrix:
         with pytest.raises(ValueError):
             MatrixKind("direct-trade", method="pwp")
         assert str(MatrixKind.indirect("micmac", k=4)) == "indirect-micmac(k=4)"
-
-
-class TestBidegree:
-    def test_zero_matrix(self):
-        m = InfluenceMatrix(("AAA", "BBB"), np.zeros((2, 2)), MatrixKind.direct_trade())
-        assert bidegree(m, "AAA") == (0.0, 0.0)
-
-    def test_two_by_two(self):
-        m = InfluenceMatrix(
-            ("AAA", "BBB"), [[0.0, 0.3], [0.7, 0.0]], MatrixKind.direct_trade()
-        )
-        dep, inf = bidegree(m, "AAA")
-        assert dep == pytest.approx(0.3)
-        assert inf == pytest.approx(0.7)
-
-    def test_matches_elementwise_sums(self):
-        rng = np.random.default_rng(7)
-        values = rng.uniform(size=(3, 3))
-        m = InfluenceMatrix(("AAA", "BBB", "CCC"), values, MatrixKind.indirect("pwp"))
-        for i, code in enumerate(m.labels):
-            dep, inf = bidegree(m, code)
-            assert dep == pytest.approx(sum(values[i][j] for j in range(3)), abs=1e-15)
-            assert inf == pytest.approx(sum(values[j][i] for j in range(3)), abs=1e-15)
-
-    def test_unknown_code(self):
-        m = InfluenceMatrix(("AAA",), np.zeros((1, 1)), MatrixKind.direct_trade())
-        with pytest.raises(UnknownCountryError):
-            bidegree(m, "XXX")
-
-    def test_total_dependence_equals_total_influence(self):
-        rng = np.random.default_rng(11)
-        values = rng.uniform(size=(5, 5))
-        labels = tuple(f"C{i}X" for i in range(5))
-        m = InfluenceMatrix(labels, values, MatrixKind.indirect("micmac", k=2))
-        deps = sum(bidegree(m, c).dependence for c in labels)
-        infs = sum(bidegree(m, c).influence for c in labels)
-        assert deps == pytest.approx(infs)
-        assert deps == pytest.approx(float(values.sum()))

@@ -9,8 +9,8 @@ from tradenet import analytics, engine, ingestion, model, weights
 EXPORTED = {
     "BilateralFlow", "CountryRecord", "DatasetManifest", "FlowTable", "InfluenceMatrix",
     "MatrixKind", "MethodSpec", "PlanePoint", "RankingReport", "RankingRow", "TradeNetError",
-    "TradeNetwork", "WeightKind", "bidegree", "build_direct_matrix", "build_network",
-    "column_normalize", "degree_stats", "heat_kernel", "load_countries", "load_flows",
+    "TradeNetwork", "WeightKind", "build_direct_matrix", "build_network",
+    "column_normalize", "heat_kernel", "load_countries", "load_flows",
     "load_network", "matrix_exponential", "micmac", "normalized_increment", "offer_influence",
     "pagerank_limit", "pair_connectedness", "plane", "pwp", "rank", "ranking_distance",
     "save_countries", "save_flows", "subset", "trade_influence",
