@@ -86,9 +86,9 @@ _MAX_SQUARINGS = 32  # inputs needing more are refused with OverflowError
 
 
 def _unpack(m) -> tuple[np.ndarray, InfluenceMatrix | None]:
-    """A private copy of ``m``'s values, which the operator may overwrite, and ``m`` if labelled."""
+    """``m``'s values, uncopied and only read (operators allocate their results), and ``m`` if labelled."""
     source = m if isinstance(m, InfluenceMatrix) else None
-    a = np.array(m if source is None else m.values, dtype=float)
+    a = np.asarray(m if source is None else m.values, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     return a, source
@@ -154,15 +154,15 @@ def _plan(a: np.ndarray) -> tuple[int, int]:
     return m, k
 
 
-def _damped_expm1(a: np.ndarray, s: float) -> np.ndarray:
-    """``e**-s * (exp(a) - I)`` by scaling and squaring, for a square array ``a``.
+def _damped_expm1(d: np.ndarray, scale: float, s: float) -> np.ndarray:
+    """``e**-s * (exp(scale*d) - I)`` by scaling and squaring, for a square array ``d``.
 
-    :func:`_plan` picks a degree ``m`` and a squaring count ``k``, and ``a``
-    is scaled in place by ``2**k``.  The Taylor polynomial
-    ``sum_{j=1..m} x**j / j!`` of ``exp(x) - 1`` (no constant term) is
-    evaluated at ``x = a / 2**k`` with two stored powers, ``x`` and
-    ``y = x @ x`` (Paterson & Stockmeyer 1973, SIAM J. Comput. 2(1)), by
-    Horner's rule in ``y``:
+    :func:`_plan` picks a degree ``m`` and a squaring count ``k`` for the
+    kernel's one copy, ``x = scale*d``, which is then scaled in place by
+    ``2**k``.  The Taylor polynomial ``sum_{j=1..m} x**j / j!`` of
+    ``exp(x) - 1`` (no constant term) is evaluated with two stored powers,
+    ``x`` and ``y = x @ x`` (Paterson & Stockmeyer 1973, SIAM J. Comput.
+    2(1)), by Horner's rule in ``y``:
     ``acc <- y @ (acc + b[2i+2] I) + b[2i+1] x`` with ``b[j] = 1/j!``, in
     ``m/2`` products.  It is damped by ``e**-c`` with ``c = s / 2**k``, half
     in the coefficients and half after, so neither factor underflows for
@@ -172,30 +172,35 @@ def _damped_expm1(a: np.ndarray, s: float) -> np.ndarray:
 
     No identity enters the sum and every coefficient is positive, so an
     entry that no path reaches stays exactly zero, and the undamped
-    ``exp(a)`` is never formed.  Peak memory is four n x n arrays: ``x``,
-    ``y``, the sum and a product buffer, which also takes each ``b x``.
+    ``exp(scale*d)`` is never formed.  ``d`` is only read, and ``x`` is
+    freed once ``y`` is formed: each ``b x`` is then ``(b*scale/2**k) * d``.
+    Peak memory is three n x n arrays: ``y``, the sum and a product buffer,
+    which also takes each ``b x``.
     """
-    n = a.shape[0]
+    n = d.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    if not np.all(np.isfinite(a)):
+    x = d * scale
+    if not np.all(np.isfinite(x)):
         raise ValueError("matrix exponential of a non-finite matrix")
 
-    m, squarings = _plan(a)
-    a /= 2.0**squarings  # in place: every caller passes a private copy
+    m, squarings = _plan(x)
+    x /= 2.0**squarings
+    step = scale / 2.0**squarings  # x = step * d
     c = s / 2.0**squarings
     coefficients = [math.exp(-c / 2) / math.factorial(j) for j in range(m + 1)]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow reported by _pack
-        a2 = a @ a
-        result = a2 * coefficients[m]
-        product = np.multiply(a, coefficients[m - 1])  # reused, so neither phase allocates per step
+        y = x @ x
+        del x
+        result = y * coefficients[m]
+        product = np.multiply(d, coefficients[m - 1] * step)  # reused, so neither phase allocates per step
         result += product
         for j in range(m - 2, 0, -2):
             result.flat[:: n + 1] += coefficients[j]  # y @ (acc + b I) = y @ acc + b y
-            np.matmul(a2, result, out=product)
+            np.matmul(y, result, out=product)
             result, product = product, result
-            result += np.multiply(a, coefficients[j - 1], out=product)  # the old sum is spent
-        del a2
+            result += np.multiply(d, coefficients[j - 1] * step, out=product)  # the old sum is spent
+        del y
         result *= math.exp(-c / 2)
         for _ in range(squarings):
             np.matmul(result, result, out=product)
@@ -219,7 +224,7 @@ def matrix_exponential(m) -> np.ndarray:
         If the required scaling exceeds ``_MAX_SQUARINGS`` or the result
         leaves the representable range.
     """
-    out = _damped_expm1(_unpack(m)[0], 0.0)
+    out = _damped_expm1(_unpack(m)[0], 1.0, 0.0)
     out.flat[:: len(out) + 1] += 1.0
     return _pack(None, out)
 
@@ -228,8 +233,7 @@ def _kernel(direct, lam: float) -> tuple[np.ndarray, InfluenceMatrix | None]:
     """The kernel ``e**-lam * (exp(lam*D) - I)`` that :func:`pwp` and :func:`heat_kernel` share."""
     _check_lambda(lam)
     values, source = _unpack(direct)
-    values *= lam  # a private copy: scaling in place saves one n x n array
-    return _damped_expm1(values, lam), source
+    return _damped_expm1(values, lam, lam), source
 
 
 def pwp(direct, lam: float = 1.0):
@@ -256,6 +260,7 @@ def micmac(direct, k: int = 4):
     values, source = _unpack(direct)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow reported by _pack
         out = np.linalg.matrix_power(values, int(k))
+    out = out.copy() if out is values else out  # k = 1 hands back the input itself
     return _pack(source, out, MatrixKind.indirect("micmac", k=k))
 
 
@@ -269,8 +274,7 @@ def column_normalize(direct):
     if values.size and values.min() < 0:
         raise NegativeEntryError("column normalization requires non-negative entries")
     sums = values.sum(axis=0)
-    np.divide(values, sums, out=values, where=sums > 0)  # a private copy, divided in place
-    return _pack(source, values)
+    return _pack(source, values / np.where(sums > 0, sums, 1.0))
 
 
 def pagerank_limit(direct, p: float = 0.86):
@@ -297,7 +301,7 @@ def pagerank_limit(direct, p: float = 0.86):
     kind = MatrixKind.indirect("pagerank", p=p)
     n = values.shape[0]
     if n == 0:
-        return _pack(source, values, kind)
+        return _pack(source, np.zeros((0, 0)), kind)
     if values.min() < 0:
         raise NegativeEntryError("pagerank requires non-negative entries")
 
@@ -311,10 +315,11 @@ def pagerank_limit(direct, p: float = 0.86):
             f"column {label} sums to {sums[j]:.12g}, expected 0 or 1"
         )
 
-    values[:, zero_cols] = 1.0 / n  # a private copy, turned into I - p*Dbar in place
-    values *= -p
-    values.flat[:: n + 1] += 1.0
-    v = np.linalg.solve(values, np.full(n, (1.0 - p) / n))
+    system = values * -p  # I - p*Dbar, a fresh array
+    system[:, zero_cols] = (1.0 / n) * -p
+    system.flat[:: n + 1] += 1.0
+    v = np.linalg.solve(system, np.full(n, (1.0 - p) / n))
+    del system  # freed before the n x n result is built
     return _pack(source, np.repeat(v[:, None], n, axis=1), kind)
 
 

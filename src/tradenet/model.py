@@ -21,7 +21,6 @@ import math
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -298,20 +297,16 @@ class TradeNetwork:
         except KeyError:
             raise UnknownCountryError(f"unknown country code {code!r}") from None
 
-    @cached_property
-    def _rows(self) -> np.ndarray:
-        """Row of each (reporter, partner) index pair in ``flows``; -1 if unrecorded."""
-        rows = np.full((self.n, self.n), -1, dtype=np.intp)
-        rows[self.flows.reporter, self.flows.partner] = np.arange(len(self.flows))
-        return rows
-
     def flow(self, reporter: str, partner: str) -> BilateralFlow | None:
         """The reporter's record of trade with the partner, if any."""
         if reporter not in self._index or partner not in self._index:
             return None
-        row = self._rows[self._index[reporter], self._index[partner]]
-        if row < 0:
+        i, j = self._index[reporter], self._index[partner]
+        # a scan of the index columns; a cached n x n table of rows would hold 8 MB at n=1000
+        rows = np.flatnonzero((self.flows.reporter == i) & (self.flows.partner == j))
+        if not len(rows):
             return None
+        row = rows[0]
         exports, imports = float(self.flows.exports[row]), float(self.flows.imports[row])
         return BilateralFlow(reporter, partner, exports, imports)
 

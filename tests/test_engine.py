@@ -334,18 +334,6 @@ class TestPwp:
         assert np.isfinite(out).all()
         assert np.array_equal(out > 0, reachable(d > 0))
 
-    def test_peak_memory_is_about_four_arrays(self):
-        # x, x @ x, the sum and the product buffer; a third stored power
-        # would take the peak to 5
-        d = sparse_direct(np.random.default_rng(300), 300, "trade")
-        tracemalloc.start()
-        try:
-            pwp(d, 8.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.25 * d.nbytes
-
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_lambda_outside_positive_finite(self, lam):
         with pytest.raises(ValueError, match="lambda"):
@@ -401,7 +389,7 @@ class TestColumnNormalize:
         d = np.array([[0.2, 0.0], [0.6, 0.0]])
         out = column_normalize(d)
         np.testing.assert_allclose(out[:, 0], [0.25, 0.75], rtol=1e-15)
-        # the input is not divided, nor scaled by the operators that scale a copy in place
+        # the input is not divided, nor scaled by the operators that scale a copy
         for operator in (column_normalize, pwp, heat_kernel, matrix_exponential):
             operator(d)
             assert d.tolist() == [[0.2, 0.0], [0.6, 0.0]], operator.__name__
@@ -524,6 +512,62 @@ class TestHeatKernel:
         out = heat_kernel(m, 0.5)
         assert out.labels == m.labels
         assert dict(out.kind.params)["lambda"] == 0.5
+
+
+class TestWorkingSet:
+    """What each operator allocates, and that it only reads its input."""
+
+    @pytest.mark.parametrize(
+        "operator, arrays",
+        [
+            (pwp, 3.25), (heat_kernel, 3.25), (matrix_exponential, 3.25),
+            (micmac, 2.25), (column_normalize, 1.25), (pagerank_limit, 1.25),
+        ],
+        ids=lambda value: getattr(value, "__name__", None),
+    )
+    def test_peak_memory_in_n_by_n_arrays(self, operator, arrays):
+        # the kernel holds x @ x, the sum and a product buffer, having freed its
+        # scaled copy x once x @ x is formed (a third stored power would add
+        # one); micmac holds D^2 and D^4; column_normalize holds its result, and
+        # pagerank_limit frees I - p*Dbar before it builds its result.  The
+        # 0.25 leaves room for vectors and numpy's 64 KiB ufunc buffer.
+        # tracemalloc does not see the copy LAPACK makes inside
+        # np.linalg.solve, so pagerank_limit's figure leaves that out.
+        d = column_normalize(sparse_direct(np.random.default_rng(300), 300, "trade"))
+        tracemalloc.start()
+        try:
+            operator(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * d.nbytes
+
+    @pytest.mark.parametrize(
+        "operator",
+        [
+            pytest.param(lambda d: pwp(d, 2.5), id="pwp"),
+            pytest.param(lambda d: heat_kernel(d, 2.5), id="heat_kernel"),
+            pytest.param(matrix_exponential, id="matrix_exponential"),
+            pytest.param(micmac, id="micmac"),
+            pytest.param(lambda d: micmac(d, 1), id="micmac-k1"),
+            pytest.param(column_normalize, id="column_normalize"),
+            pytest.param(pagerank_limit, id="pagerank_limit"),
+        ],
+    )
+    def test_input_is_only_read(self, operator):
+        # rows sum to 1 but columns do not, and lambda is not 1, so dividing or
+        # scaling the input in place changes its bytes; pagerank_limit takes
+        # only a column-stochastic matrix, here with a zero column
+        d = sparse_direct(np.random.default_rng(301), 8, "trade")
+        d[:, 2] = 0.0
+        if operator is pagerank_limit:
+            d = column_normalize(d)
+        assert d.flags.writeable and d.dtype == np.float64
+        before = d.tobytes()
+        out = operator(d)
+        assert d.tobytes() == before
+        assert out.flags.writeable
+        assert not np.shares_memory(out, d)
 
 
 class TestScipyOracles:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from tradenet import (
     BilateralFlow,
     CountryRecord,
+    FlowTable,
     WeightKind,
     build_direct_matrix,
     build_network,
@@ -89,6 +91,25 @@ class TestPairwiseEdgeCases:
     def test_unknown_code(self, us_china_network):
         with pytest.raises(UnknownCountryError):
             trade_influence(us_china_network, "USA", "XXX")
+
+    def test_pairwise_lookup_builds_no_n_by_n_table(self):
+        # 1000 countries with 20 partners each, as in the benchmark's sweep
+        # network; a table of flow rows by country pair would hold 8 MB
+        n = 1000
+        codes = [f"{chr(65 + i // 676)}{chr(65 + i // 26 % 26)}{chr(65 + i % 26)}" for i in range(n)]
+        countries = [CountryRecord(code, f"Nation {code}", 100.0, 20.0, 20.0) for code in codes]
+        reporter = np.repeat(np.arange(n), 20)
+        partner = (reporter + np.tile(np.arange(1, 21), n)) % n
+        ones = np.ones(len(reporter))
+        net = build_network(countries, FlowTable(tuple(codes), reporter, partner, ones, ones))
+        tracemalloc.start()
+        try:
+            share = trade_influence(net, codes[0], codes[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert share == 2.0 / 40.0
+        assert peak < 1e6
 
 
 class TestBuildDirectMatrix:
