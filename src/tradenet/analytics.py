@@ -32,7 +32,7 @@ from .errors import (
     NotAPermutationError,
     ZeroDirectEntryError,
 )
-from .model import InfluenceMatrix
+from .model import InfluenceMatrix, not_close
 
 __all__ = [
     "PlanePoint",
@@ -47,10 +47,6 @@ __all__ = [
 ]
 
 CRITERIA = ("dependence", "influence", "connectedness")
-
-# a value within this relative distance of its mean lies on the mean line;
-# the tolerance the weights use for flow totals
-_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,9 +98,8 @@ def _degrees(m: InfluenceMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _above(values: np.ndarray, mean) -> np.ndarray:
-    # above the mean (a float, or one per value) and not math.isclose to it
-    # with rel_tol=_TIE_RTOL
-    return values - mean > _TIE_RTOL * np.maximum(np.abs(values), np.abs(mean))
+    # above the mean (a float, or one per value) and not close to it
+    return (values > mean) & not_close(values, mean)
 
 
 def plane(m: InfluenceMatrix) -> list[PlanePoint]:

@@ -48,7 +48,7 @@ class ConsistencyWarning(UserWarning):
 # --- influence operators --------------------------------------------------
 
 class DimensionMismatchError(TradeNetError):
-    """Matrix is not square or does not match its label count."""
+    """An operator's input matrix is not square."""
 
 
 class ColumnStochasticityError(TradeNetError):

@@ -44,6 +44,13 @@ __all__ = [
 
 _CODE_RE = re.compile(r"[A-Z0-9]{2,3}")
 
+CLOSE_RTOL = 1e-9  # loose enough to ignore float rounding, tight enough to flag real data gaps
+
+
+def not_close(a, b) -> np.ndarray:
+    """``not math.isclose(a, b, rel_tol=CLOSE_RTOL)``, elementwise over arrays."""
+    return np.abs(a - b) > CLOSE_RTOL * np.maximum(np.abs(a), np.abs(b))
+
 
 def first_fault(*masks: np.ndarray) -> tuple[int, int] | None:
     """``(row, check)`` of the first True entry, or ``None`` if there is none.
@@ -155,7 +162,8 @@ class FlowTable:
 
     ``reporter[i]`` and ``partner[i]`` index into ``codes``; ``exports[i]``
     and ``imports[i]`` are the reporter's amounts.  Iterating yields each
-    row as a :class:`BilateralFlow`, built on demand.
+    row as a checked :class:`BilateralFlow`, built on demand, so a row with
+    no trade either way raises ``ValueError`` (:func:`build_network` drops it).
     """
 
     codes: tuple[str, ...]
@@ -250,10 +258,9 @@ def flow_fault(table: FlowTable, lines=None, texts=None) -> tuple[int, Exception
         seen = "" if lines is None else f" already defined on line {lines[first]}"
         return row, DuplicateFlowError(f"duplicate flow record for pair {pair}{seen}")
     column = ("exports", "imports")[check - 3]
-    if texts and (row, column) in texts:
-        return row, ValueError(f"{column} of flow {pair} is not a number: {texts[row, column]!r}")
+    amount = (texts or {}).get((row, column), float(getattr(table, column)[row]))
     try:
-        checked_amount(float(getattr(table, column)[row]), f"{column} of flow {pair}")
+        checked_amount(amount, f"{column} of flow {pair}")
     except (NegativeAmountError, ValueError) as exc:
         return row, exc
 
@@ -299,16 +306,10 @@ class TradeNetwork:
 
     def flow(self, reporter: str, partner: str) -> BilateralFlow | None:
         """The reporter's record of trade with the partner, if any."""
-        if reporter not in self._index or partner not in self._index:
-            return None
-        i, j = self._index[reporter], self._index[partner]
+        i, j = self._index.get(reporter, -1), self._index.get(partner, -1)
         # a scan of the index columns; a cached n x n table of rows would hold 8 MB at n=1000
-        rows = np.flatnonzero((self.flows.reporter == i) & (self.flows.partner == j))
-        if not len(rows):
-            return None
-        row = rows[0]
-        exports, imports = float(self.flows.exports[row]), float(self.flows.imports[row])
-        return BilateralFlow(reporter, partner, exports, imports)
+        rows = self.flows.take((self.flows.reporter == i) & (self.flows.partner == j))
+        return next(iter(rows), None)
 
     def reported_trade(self, reporter: str, partner: str) -> float:
         """Exports + imports between the pair, per the reporter's books; 0 if unrecorded."""

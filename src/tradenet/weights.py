@@ -27,14 +27,9 @@ import warnings
 import numpy as np
 
 from .errors import ConsistencyWarning, IsolatedCountryError, ZeroOfferDenominatorError
-from .model import CountryRecord, InfluenceMatrix, MatrixKind, TradeNetwork
+from .model import CountryRecord, InfluenceMatrix, MatrixKind, TradeNetwork, not_close
 
 __all__ = ["WeightKind", "trade_influence", "offer_influence", "build_direct_matrix"]
-
-# relative flow-total mismatch beyond which a country counts as inconsistent
-# (math.isclose's symmetric rule); loose enough to ignore float rounding,
-# tight enough to flag real data gaps
-_CONSISTENCY_RTOL = 1e-9
 
 
 class WeightKind(enum.Enum):
@@ -64,7 +59,8 @@ def _overflow(a: str, b: str, flows: float, denom: float, kind: WeightKind) -> O
 
 
 def _influence(network: TradeNetwork, a: str, b: str, kind: WeightKind) -> float:
-    """Entry ``[a, b]`` of :func:`build_direct_matrix`, raising where that matrix does."""
+    """Entry ``[a, b]`` of :func:`build_direct_matrix`, raising where that matrix does and
+    also for any zero denominator, whose row that matrix may leave at zero instead."""
     if a == b:
         raise ValueError(f"{kind.value} influence is undefined for a country on itself")
     rec = network.country(a)
@@ -168,10 +164,7 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
     values[reporter, partner] = shares
 
     if kind is WeightKind.TRADE:
-        mismatched = np.flatnonzero(
-            (denoms > 0)
-            & (np.abs(reported - denoms) > _CONSISTENCY_RTOL * np.maximum(reported, denoms))
-        )
+        mismatched = np.flatnonzero((denoms > 0) & not_close(reported, denoms))
         if len(mismatched):
             with np.errstate(over="ignore"):  # finite shares may sum past the range: "at inf"
                 ratios = reported[mismatched] / denoms[mismatched]

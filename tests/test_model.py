@@ -155,6 +155,13 @@ class TestBuildNetwork:
         with pytest.raises(UnknownCountryError):
             net.country("XXX")
 
+    def test_flow_with_unknown_code_is_none(self):
+        net = build_network(make_countries(), [BilateralFlow("AAA", "BBB", 1.0, 2.0)])
+        assert net.flow("AAA", "BBB") == BilateralFlow("AAA", "BBB", 1.0, 2.0)
+        assert net.flow("ZZZ", "BBB") is None
+        assert net.flow("AAA", "ZZZ") is None
+        assert net.reported_trade("ZZZ", "AAA") == 0.0
+
 
 class TestInfluenceMatrix:
     def test_rejects_non_square(self):
@@ -176,6 +183,13 @@ class TestInfluenceMatrix:
     def test_indirect_diagonal_unconstrained(self):
         m = InfluenceMatrix(("AAA", "BBB"), np.identity(2), MatrixKind.indirect("pwp"))
         assert m.entry("AAA", "AAA") == 1.0
+
+    def test_entry_with_unknown_code_raises(self):
+        m = InfluenceMatrix(("AAA", "BBB"), np.zeros((2, 2)), MatrixKind.direct_trade())
+        with pytest.raises(UnknownCountryError, match=r"^unknown country code 'ZZZ'$"):
+            m.entry("AAA", "ZZZ")
+        with pytest.raises(UnknownCountryError, match=r"^unknown country code 'ZZZ'$"):
+            m.index("ZZZ")
 
     def test_values_are_read_only(self):
         m = InfluenceMatrix(("AAA", "BBB"), np.zeros((2, 2)), MatrixKind.direct_trade())

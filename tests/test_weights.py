@@ -338,6 +338,29 @@ def test_direct_matrix_equals_per_flow_loop(data, n):
 
 
 @settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=6))
+def test_flow_lookup_is_the_record_iteration_builds(data, n):
+    # reported_trade, which trade_influence divides, reads TradeNetwork.flow;
+    # both must agree with the records iterating the network's table yields
+    pairs = generated_pairs(n)
+    countries = [CountryRecord(code, name, 1.0, 1.0, 1.0) for code, name in pairs]
+    flows = [
+        BilateralFlow(a, b, *data.draw(st.tuples(AMOUNT, AMOUNT).filter(any)))
+        for a, _ in pairs
+        for b, _ in pairs
+        if a != b and data.draw(st.booleans())
+    ]
+    net = build_network(countries, data.draw(st.permutations(flows)))
+    records = {(flow.reporter, flow.partner): flow for flow in net.flows}
+    codes = [*net.codes, "ZZZ"]  # generated codes end in X, so ZZZ is unknown
+    for a in codes:
+        for b in codes:
+            record = records.get((a, b))
+            assert net.flow(a, b) == record
+            assert net.reported_trade(a, b) == (0.0 if record is None else record.total)
+
+
+@settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=1, max_value=8))
 def test_consistency_warning_counts_like_isclose(data, n):
     pairs = generated_pairs(n)
