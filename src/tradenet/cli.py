@@ -187,8 +187,8 @@ def _rank(args, network, direct, indirect) -> Writers:
 def _plane(args, network, direct, indirect) -> Writers:
     """The dependence-influence plane of the indirect matrix."""
     points = analytics.plane(indirect)
-    d_mean = sum(p.dependence for p in points) / len(points)
-    f_mean = sum(p.influence for p in points) / len(points)
+    d_mean = np.mean([p.dependence for p in points])  # as analytics.plane takes it
+    f_mean = np.mean([p.influence for p in points])
     rows = [("code", "dependence", "influence", "sector")] + [
         (p.code, _fmt(p.dependence), _fmt(p.influence), str(p.sector)) for p in points
     ]

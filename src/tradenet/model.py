@@ -6,11 +6,11 @@ display name, which fixes the index map used by every matrix in the package.
 Flows are held as columns in a :class:`FlowTable`; a :class:`BilateralFlow`
 is one row of it as a record.
 
-Every record check is written once here, over arrays of rows:
-:func:`repeated` finds duplicate keys, :func:`first_fault` picks the first
-failing row, then the first failing check within it, and :func:`flow_fault`
-words the error of a :class:`FlowTable`'s first faulty row, for
-:func:`build_network` and ingestion alike; ingestion only adds ``path:line:``.
+Every record check is written once here: a :class:`FlowTable` checks its
+shape when made; over arrays of rows, :func:`repeated` finds duplicate keys,
+:func:`first_fault` picks the first failing row, then its first failing
+check, and :func:`flow_fault` words the error of a table's first faulty row,
+for :func:`build_network` and ingestion alike; ingestion only adds ``path:line:``.
 
 All types are frozen after construction and safe to share across threads.
 """
@@ -161,9 +161,11 @@ class FlowTable:
     """Bilateral flow records as read-only columns, one row per ordered pair.
 
     ``reporter[i]`` and ``partner[i]`` index into ``codes``; ``exports[i]``
-    and ``imports[i]`` are the reporter's amounts.  Iterating yields each
-    row as a checked :class:`BilateralFlow`, built on demand, so a row with
-    no trade either way raises ``ValueError`` (:func:`build_network` drops it).
+    and ``imports[i]`` are the reporter's amounts.  A table refuses, when made,
+    columns not all 1-D of one length or a code listed twice (``ValueError``),
+    and an index outside ``codes`` (:class:`UnknownCountryError`).  Iterating
+    yields each row as a checked :class:`BilateralFlow`, built on demand, so a
+    row with no trade either way raises ``ValueError`` (:func:`build_network` drops it).
     """
 
     codes: tuple[str, ...]
@@ -181,6 +183,18 @@ class FlowTable:
             column = np.asarray(getattr(self, name), dtype=dtype).view()
             column.setflags(write=False)
             object.__setattr__(self, name, column)
+        shapes = [getattr(self, name).shape for name in self._DTYPES]
+        if len(shapes[0]) != 1 or len(set(shapes)) > 1:
+            raise ValueError(f"flow table columns must be 1-D and of one length, got shapes {shapes}")
+        if len(set(self.codes)) < len(self.codes):
+            twice = self.codes[int(repeated(np.array(self.codes, dtype=object)).argmax())]
+            raise ValueError(f"flow table lists code {twice!r} twice")
+        k, r, p = len(self.codes), self.reporter, self.partner
+        if len(self) and not (0 <= min(r.min(), p.min()) <= max(r.max(), p.max()) < k):
+            row = int(((np.minimum(r, p) < 0) | (np.maximum(r, p) >= k)).argmax())
+            raise UnknownCountryError(
+                f"flow row {row} has country indices ({r[row]}, {p[row]}) outside the table's {k} codes"
+            )
 
     @classmethod
     def from_records(cls, flows: Iterable) -> FlowTable:
@@ -221,23 +235,15 @@ class FlowTable:
 def flow_fault(table: FlowTable, lines=None, texts=None) -> tuple[int, Exception] | None:
     """The first faulty row of ``table`` and its error, or ``None``.
 
-    A row's checks run in this order: indices within ``table.codes``,
-    self-flow (a code listed twice in ``table.codes`` is one country), pair
-    already on an earlier row, exports, imports.  Ingestion passes what the
-    file knows: each row's line number (``lines``), named for a duplicate's
-    first row, and the stripped text of each amount cell that did not parse
-    (``texts``, by ``(row, column)``; NaN in the table), quoted in its error.
+    A row's checks run in this order: self-flow, pair already on an earlier
+    row, exports, imports.  Ingestion passes what the file knows: each row's
+    line number (``lines``), named for a duplicate's first row, and the
+    stripped text of each amount cell that did not parse (``texts``, by
+    ``(row, column)``; NaN in the table), quoted in its error.
     """
-    k = len(table.codes)
-    columns = (table.reporter, table.partner)
-    outside = (np.minimum(*columns) < 0) | (np.maximum(*columns) >= k)
-    # one id per distinct code; a row with an index outside the codes reads the trailing -1
-    ids = np.append(np.unique(np.array(table.codes, dtype=object), return_inverse=True)[1], -1)
-    reporter, partner = (ids[np.where(outside, k, column)] for column in columns)
-    keys = reporter * k + partner
+    keys = table.reporter * len(table.codes) + table.partner
     fault = first_fault(
-        outside,
-        reporter == partner,
+        table.reporter == table.partner,
         repeated(keys),
         # amounts that are not finite and non-negative, NaN included
         *(~((amounts >= 0) & (amounts < np.inf)) for amounts in (table.exports, table.imports)),
@@ -245,19 +251,14 @@ def flow_fault(table: FlowTable, lines=None, texts=None) -> tuple[int, Exception
     if fault is None:
         return None
     row, check = fault
-    if check == 0:
-        return row, UnknownCountryError(
-            f"flow row {row} has country indices ({table.reporter[row]}, "
-            f"{table.partner[row]}) outside the table's {k} codes"
-        )
     pair = f"({table.codes[table.reporter[row]]}, {table.codes[table.partner[row]]})"
-    if check == 1:
+    if check == 0:
         return row, SelfFlowError(f"flow {pair} is a self-flow")
-    if check == 2:
+    if check == 1:
         first = int(np.argmax(keys == keys[row]))  # the pair's first row
         seen = "" if lines is None else f" already defined on line {lines[first]}"
         return row, DuplicateFlowError(f"duplicate flow record for pair {pair}{seen}")
-    column = ("exports", "imports")[check - 3]
+    column = ("exports", "imports")[check - 2]
     amount = (texts or {}).get((row, column), float(getattr(table, column)[row]))
     try:
         checked_amount(amount, f"{column} of flow {pair}")
@@ -332,11 +333,10 @@ def build_network(
     ------
     DuplicateCountryError
         If two countries share a code or a name.
-    UnknownCountryError, SelfFlowError, DuplicateFlowError, NegativeAmountError, ValueError
+    SelfFlowError, DuplicateFlowError, NegativeAmountError, ValueError, UnknownCountryError
         For the first faulty flow row.  Every row first gets the checks of
-        :func:`flow_fault`, in order: indices within the table's codes,
-        self-flow, pair already on an earlier row, exports, imports.  Only
-        then is a code that names no country an error.
+        :func:`flow_fault`, in order: self-flow, pair already on an earlier
+        row, exports, imports.  Only then is a code that names no country an error.
     """
     countries = tuple(countries)
     codes = [c.code for c in countries]
@@ -352,8 +352,7 @@ def build_network(
         raise DuplicateCountryError(f"country name {rec.name!r} shared by {first} and {rec.code}")
 
     table = flows if isinstance(flows, FlowTable) else FlowTable.from_records(flows)
-    fault = flow_fault(table)
-    if fault is not None:
+    if (fault := flow_fault(table)) is not None:
         raise fault[1]
     ordered = tuple(sorted(countries, key=lambda c: c.name))
     n = len(ordered)

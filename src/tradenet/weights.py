@@ -31,6 +31,8 @@ from .model import CountryRecord, InfluenceMatrix, MatrixKind, TradeNetwork, not
 
 __all__ = ["WeightKind", "trade_influence", "offer_influence", "build_direct_matrix"]
 
+_DENOMINATORS = {"trade": "total trade", "offer": "GDP + imports"}  # by WeightKind value
+
 
 class WeightKind(enum.Enum):
     """Which denominator a direct-influence matrix divides by."""
@@ -47,14 +49,17 @@ class WeightKind(enum.Enum):
 
 def _denominator(rec: CountryRecord, kind: WeightKind) -> float:
     """What ``kind`` divides a row of ``rec``'s country by: its total trade or its offer."""
-    return rec.total_trade if kind is WeightKind.TRADE else rec.offer
+    denom = rec.total_trade if kind is WeightKind.TRADE else rec.offer
+    if denom == math.inf:  # dividing by it would leave the row at zero
+        raise OverflowError(f"{rec.code}'s {_DENOMINATORS[kind.value]} leaves the floating-point range")
+    return denom
 
 
 def _overflow(a: str, b: str, flows: float, denom: float, kind: WeightKind) -> OverflowError:
     """The refusal of a share ``flows / denom`` of ``b`` in ``a``'s row that is not finite."""
-    what = "total trade" if kind is WeightKind.TRADE else "GDP + imports"
     return OverflowError(
-        f"{a}'s flows with {b} ({flows:g}) over its {what} ({denom:g}) leave the floating-point range"
+        f"{a}'s flows with {b} ({flows:g}) over its {_DENOMINATORS[kind.value]} ({denom:g}) "
+        "leave the floating-point range"
     )
 
 
@@ -87,7 +92,7 @@ def trade_influence(network: TradeNetwork, a: str, b: str) -> float:
     IsolatedCountryError
         If ``a`` declares zero total trade.
     OverflowError
-        If the share is too large for a float.
+        If the share, or ``a``'s total trade, is too large for a float.
     """
     return _influence(network, a, b, WeightKind.TRADE)
 
@@ -100,7 +105,7 @@ def offer_influence(network: TradeNetwork, a: str, b: str) -> float:
     ZeroOfferDenominatorError
         If ``a`` has GDP + imports = 0.
     OverflowError
-        If the share is too large for a float.
+        If the share, or ``a``'s GDP + imports, is too large for a float.
     """
     return _influence(network, a, b, WeightKind.OFFER)
 
@@ -125,8 +130,8 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
         For ``kind=OFFER``, if a country has flow records but zero offer,
         naming the first such country.
     OverflowError
-        If a share is too large for a float (a tiny denominator, say),
-        naming the first such country, its flows and its denominator.
+        If a country's denominator, or a share over a tiny one, is too large
+        for a float, naming the first such country (and a share's amounts).
 
     Warns
     -----

@@ -30,6 +30,7 @@ from tradenet import (
     save_countries,
     save_flows,
 )
+from tradenet.analytics import PlanePoint
 from tradenet.analytics import plane as analytics_plane
 from tradenet.cli import main, read_matrix_csv, write_matrix_csv
 from tradenet.engine import MethodSpec
@@ -332,6 +333,18 @@ class TestPlaneCommand:
             assert float(row["influence"]) == 0.0
             assert row["sector"] == "3"
 
+    def test_header_means_are_numpy_means(self, tmp_path, uniform_files, monkeypatch):
+        # the sectors come from numpy means (analytics.plane), so the header prints
+        # them too; Python's sum loses every 1e-16 term before 3.12 and printed
+        # 9.999900001e-06
+        points = [PlanePoint("AAA", 1.0, 0.0, 3)] + [PlanePoint("BBB", 1e-16, 0.0, 3)] * 100000
+        monkeypatch.setattr(tradenet.analytics, "plane", lambda matrix: points)
+        out = tmp_path / "out"
+        assert main(["plane", *dataset_args(*uniform_files, out)]) == 0
+        with open(out / "plane_trade_pwp.csv", encoding="utf-8") as handle:
+            header = handle.readline()
+        assert header == "# mean_dependence=9.9999000011e-06 mean_influence=0\n"
+
     def test_matches_library_sectors(self, tmp_path, triangle_network):
         files = write_dataset(tmp_path, triangle_network)
         out = tmp_path / "out"
@@ -587,6 +600,25 @@ class TestContract:
         assert capsys.readouterr().err.splitlines() == [
             f"error [weights] AAA's flows with BBB (10) over its {denominator} (1e-310) "
             "leave the floating-point range"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weight", ["trade", "offer"])
+    def test_denominator_past_the_float_range_exits_one_without_files(
+        self, tmp_path, capsys, weight
+    ):
+        # AAA's totals (trade) or GDP + imports (offer) sum past the float range;
+        # rank used to exit 0 with AAA's row all zero and no warning
+        amounts = (1.0, 1e308) if weight == "trade" else (1e308, 1.0)
+        countries = [CountryRecord("AAA", "Alpha", *amounts, 1e308),
+                     CountryRecord("BBB", "Beta", 1.0, 1.0, 1.0)]
+        flows = [BilateralFlow("AAA", "BBB", 5.0, 5.0), BilateralFlow("BBB", "AAA", 1.0, 1.0)]
+        files = write_dataset(tmp_path, build_network(countries, flows))
+        out = tmp_path / "out"
+        assert main(["rank", *dataset_args(*files, out, "--weight", weight)]) == 1
+        denominator = "total trade" if weight == "trade" else "GDP + imports"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error [weights] AAA's {denominator} leaves the floating-point range"
         ]
         assert not out.exists()
 

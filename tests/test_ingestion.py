@@ -312,21 +312,22 @@ class TestFlowOracle:
     @given(rows=ORACLE_ROWS)
     def test_build_network_matches_oracle_on_direct_tables(self, rows):
         # a table holds numbers, so a cell that does not parse becomes NaN;
-        # each row lists its own two codes, so the table repeats codes
+        # cells holds each row's two codes, interned in order of appearance
         rows = [r for r in rows if len(r) == 4 and any(cell.strip() for cell in r)]
         numbers = [[cell.replace("abc", "nan") for cell in r] for r in rows]
         expected = oracle(numbers)
-        codes = [cell.strip() for r in rows for cell in r[:2]]
+        cells = [cell.strip() for r in rows for cell in r[:2]]
+        index = {code: i for i, code in enumerate(dict.fromkeys(cells))}
         table = FlowTable(
-            codes,
-            range(0, len(codes), 2),
-            range(1, len(codes), 2),
+            tuple(index),
+            [index[code] for code in cells[0::2]],
+            [index[code] for code in cells[1::2]],
             [float(r[2]) for r in numbers],
             [float(r[3]) for r in numbers],
         )
         countries = [CountryRecord(c, f"Land {c}", 1.0, 1.0, 1.0) for c in ("AAA", "BBB", "CCC")]
-        if isinstance(expected, list) and "ZZZ" in codes:
-            row = next(i for i, r in enumerate(rows) if "ZZZ" in codes[2 * i : 2 * i + 2])
+        if isinstance(expected, list) and "ZZZ" in cells:
+            row = next(i for i, r in enumerate(rows) if "ZZZ" in cells[2 * i : 2 * i + 2])
             expected = UnknownCountryError, row + 2
         if isinstance(expected, list):
             net = build_network(countries, table)
@@ -334,7 +335,7 @@ class TestFlowOracle:
         else:
             error, line = expected
             error = ValueError if error is MalformedRowError else error
-            reporter, partner = codes[2 * (line - 2) : 2 * (line - 2) + 2]
+            reporter, partner = cells[2 * (line - 2) : 2 * (line - 2) + 2]
             with pytest.raises(error, match=rf"\({reporter}, {partner}\)"):
                 build_network(countries, table)
 

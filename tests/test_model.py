@@ -98,22 +98,40 @@ class TestBuildNetwork:
              r"exports of flow \(AAA, BBB\) is negative"),
             (("AAA", "BBB"), 0, 1, float("nan"), ValueError,
              r"exports of flow \(AAA, BBB\) is not finite"),
-            (("AAA", "BBB"), 0, -1, 1.0, UnknownCountryError,
-             r"indices \(0, -1\) outside the table's 2 codes"),
-            (("AAA", "BBB"), 0, 5, 1.0, UnknownCountryError,
-             r"indices \(0, 5\) outside the table's 2 codes"),
-            # the table lists AAA twice: its two indices are one country
-            (("AAA", "AAA"), 0, 1, 1.0, SelfFlowError, r"flow \(AAA, AAA\) is a self-flow"),
         ],
-        ids=["self-flow", "negative", "nan", "index-minus-one", "index-past-end", "repeated-code"],
+        ids=["self-flow", "negative", "nan"],
     )
     def test_table_built_directly_is_checked(
         self, codes, reporter, partner, exports, error, message
     ):
-        # a FlowTable is not checked when it is made; build_network checks it
+        # a FlowTable checks its shape when it is made; build_network checks its rows
         table = FlowTable(codes, [reporter], [partner], [exports], [1.0])
         with pytest.raises(error, match=message):
             build_network(make_countries()[:2], table)
+
+    @pytest.mark.parametrize(
+        ("codes", "reporter", "partner", "error", "message"),
+        [
+            (("AAA", "BBB"), [0], [-1], UnknownCountryError,
+             r"^flow row 0 has country indices \(0, -1\) outside the table's 2 codes$"),
+            (("AAA", "BBB"), [0, 1], [1, 5], UnknownCountryError,
+             r"^flow row 1 has country indices \(1, 5\) outside the table's 2 codes$"),
+            (("AAA", "BBB", "AAA"), [0], [1], ValueError, r"^flow table lists code 'AAA' twice$"),
+            (("AAA", "BBB"), [0, 1], [1], ValueError,
+             r"^flow table columns must be 1-D and of one length, got shapes "),
+            (("AAA", "BBB"), [[0, 1]], [[1, 0]], ValueError,
+             r"^flow table columns must be 1-D and of one length, got shapes "),
+            (("AAA", "BBB"), 0, 1, ValueError,
+             r"^flow table columns must be 1-D and of one length, got shapes "),
+        ],
+        ids=["index-minus-one", "index-past-end", "repeated-code", "ragged", "two-d", "scalar"],
+    )
+    def test_table_refuses_bad_shape_when_made(self, codes, reporter, partner, error, message):
+        # so save_flows cannot write index -1 as the last code, nor a ragged table's
+        # first rows alone, and no reader of a table checks its indices again
+        amounts = np.ones(np.shape(reporter))
+        with pytest.raises(error, match=message):
+            FlowTable(codes, reporter, partner, amounts, amounts)
 
     def test_table_checks_run_before_codes_resolve(self):
         # the duplicate on the third row wins over the unknown ZZZ on the first,

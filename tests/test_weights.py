@@ -162,6 +162,28 @@ class TestBuildDirectMatrix:
                 influence(net, "AAA", "BBB")
             assert influence(net, "BBB", "AAA") == 0.5
 
+    @pytest.mark.parametrize(
+        ("kind", "gdp", "exports", "denominator"),
+        [(WeightKind.TRADE, 1.0, 1e308, "total trade"), (WeightKind.OFFER, 1e308, 1.0, r"GDP \+ imports")],
+        ids=["trade", "offer"],
+    )
+    def test_denominator_past_the_float_range_is_refused(self, kind, gdp, exports, denominator):
+        # AAA's denominator sums to inf: every share of it would be 0, its row all
+        # zero, and the consistency check silent, since 10 is not "far" from inf
+        a = CountryRecord("AAA", "Alpha", gdp, exports, 1e308)
+        b = CountryRecord("BBB", "Beta", 1.0, 1.0, 1.0)
+        net = build_network([a, b], [BilateralFlow("AAA", "BBB", 5.0, 5.0),
+                                     BilateralFlow("BBB", "AAA", 1.0, 1.0)])
+        influence = trade_influence if kind is WeightKind.TRADE else offer_influence
+        message = rf"^AAA's {denominator} leaves the floating-point range$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=message):
+                build_direct_matrix(net, kind)
+            with pytest.raises(OverflowError, match=message):
+                influence(net, "AAA", "BBB")
+            assert influence(net, "BBB", "AAA") == 1.0
+
     def test_inconsistent_totals_warn_with_ratio(self):
         a = CountryRecord("AAA", "Alpha", 100.0, 10.0, 10.0)  # declares 20
         b = CountryRecord("BBB", "Beta", 100.0, 5.0, 5.0)
