@@ -83,19 +83,26 @@ def read_matrix_csv(path: Path) -> InfluenceMatrix:
 
     The header is checked by :func:`~tradenet.ingestion.csv_header`: it
     names ``code``, then the column labels, each once.  The rows, read by
-    :func:`~tradenet.ingestion.csv_blocks`, hold a label (not read back) and
-    then a number per column.  A fault raises its ``path:line:`` error.
+    :func:`~tradenet.ingestion.csv_blocks`, hold a label and then a number per
+    column; row ``i``'s label must be column ``i``'s.  A faulty row raises its
+    ``path:line:`` error; after the rows, a row count other than the label
+    count raises a ``path:`` error.
     """
     header = csv_header(path, ("code",))
+    labels = tuple(header[1:])
     rows: list[list[float]] = []
-    for lines, (_, *columns) in csv_blocks(path, tuple(header)):
-        for line, row in zip(lines, zip(*columns)):
+    for lines, (codes, *columns) in csv_blocks(path, tuple(header)):
+        for line, code, row in zip(lines, codes, zip(*columns)):
+            if len(rows) < len(labels) and code != (label := labels[len(rows)]):
+                raise MalformedRowError(f"{path}:{line}: row label {code!r}, expected {label!r}")
             try:
                 rows.append(list(map(float, row)))
             except ValueError as exc:
                 raise MalformedRowError(f"{path}:{line}: {exc}") from None
-    values = np.array(rows).reshape(len(rows), len(header) - 1)
-    return InfluenceMatrix(tuple(header[1:]), values, MatrixKind.indirect("file"))
+    if len(rows) != len(labels):
+        raise MalformedRowError(f"{path}: {len(rows)} row(s) for {len(labels)} column label(s)")
+    values = np.array(rows).reshape(len(rows), len(labels))
+    return InfluenceMatrix(labels, values, MatrixKind.indirect("file"))
 
 
 def _write_ranking(

@@ -10,6 +10,8 @@ decimals in thousands of US dollars (decimal point, no thousands
 separators).  Every parse error carries the 1-based line number of the
 offending row; when a file has several faults, the first line wins.  A byte
 that is not UTF-8 is a fault of the line that holds it (see :func:`_csv_reader`).
+Both loaders return what their file holds: a flow row recording zero trade
+both ways is kept, and :func:`~tradenet.model.build_network` alone drops it.
 
 The file format is decided here, for every file the package reads or
 writes: :func:`csv_blocks` reads a CSV file (:func:`csv_header` its header
@@ -225,13 +227,13 @@ def load_countries(path: str | Path) -> list[CountryRecord]:
 
 
 def load_flows(path: str | Path) -> FlowTable:
-    """Parse a flows CSV into a table; rows recording zero trade both ways are dropped.
+    """Parse a flows CSV into a table of every row it holds, zero-trade rows included.
 
-    Every row, zero-trade rows included, gets :func:`~tradenet.model.flow_fault`;
-    the first faulty line raises its error behind ``path:line:``.  Within a
-    line the checks run in this order: field count, self-flow, pair already
-    on an earlier line (named in the message), exports, imports.  An amount
-    that is not a finite number raises :class:`MalformedRowError`.
+    Every row gets :func:`~tradenet.model.flow_fault`; the first faulty line
+    raises its error behind ``path:line:``.  Within a line the checks run in
+    this order: field count, self-flow, pair already on an earlier line (named
+    in the message), exports, imports.  An amount that is not a finite number
+    raises :class:`MalformedRowError`.
 
     A clean file is read by numpy's C parser (:func:`_read_flows_fast`).  Any
     file it cannot read to the block parser's table, faulty files included,
@@ -240,16 +242,10 @@ def load_flows(path: str | Path) -> FlowTable:
     Both check the header by :func:`_header`, so a header fault never defers.
     """
     table, reason = _read_flows_fast(path)
-    if table is not None and flow_fault(table) is not None:
-        table, reason = None, "faulty row"
-    if table is None:
-        logger.debug("%s: block parser used (%s)", path, reason)
-        table = _read_flows_blocks(path)
-    trading = (table.exports != 0) | (table.imports != 0)
-    dropped = len(trading) - int(trading.sum())
-    if dropped:
-        logger.info("%s: dropped %d zero-trade row(s)", path, dropped)
-    return table.take(trading)
+    if table is not None and flow_fault(table) is None:
+        return table
+    logger.debug("%s: block parser used (%s)", path, reason or "faulty row")
+    return _read_flows_blocks(path)
 
 
 def _read_flows_fast(path: str | Path) -> tuple[FlowTable | None, str]:
@@ -420,6 +416,8 @@ class DatasetManifest:
 def load_network(manifest: DatasetManifest) -> TradeNetwork:
     """Load, assemble, and optionally regionally restrict a dataset.
 
+    The zero-trade rows :func:`build_network` drops are counted in an INFO log line.
+
     Raises
     ------
     UnknownCountryError
@@ -428,6 +426,8 @@ def load_network(manifest: DatasetManifest) -> TradeNetwork:
     countries = load_countries(manifest.countries_path)
     flows = load_flows(manifest.flows_path)
     network = build_network(countries, flows)
+    if dropped := len(flows) - len(network.flows):
+        logger.info("%s: dropped %d zero-trade row(s)", manifest.flows_path, dropped)
     if manifest.region_filter is not None:
         network = subset(network, manifest.region_filter)
     return network

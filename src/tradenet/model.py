@@ -133,7 +133,8 @@ class BilateralFlow:
 
     ``exports`` and ``imports`` are what the reporter records as its exports
     to and imports from the partner.  Mirror records (the partner's view of
-    the same trade) are separate flows and are never reconciled.
+    the same trade) are separate flows and are never reconciled.  A record of
+    no trade either way is valid; :func:`build_network` drops it.
     """
 
     reporter: str
@@ -148,8 +149,6 @@ class BilateralFlow:
         for attr in ("exports", "imports"):
             value = checked_amount(getattr(self, attr), f"{attr} of {owner}")
             object.__setattr__(self, attr, value)
-        if self.exports == 0 and self.imports == 0:
-            raise ValueError(f"{owner} records no trade in either direction")
 
     @property
     def total(self) -> float:
@@ -164,8 +163,8 @@ class FlowTable:
     and ``imports[i]`` are the reporter's amounts.  A table refuses, when made,
     columns not all 1-D of one length or a code listed twice (``ValueError``),
     and an index outside ``codes`` (:class:`UnknownCountryError`).  Iterating
-    yields each row as a checked :class:`BilateralFlow`, built on demand, so a
-    row with no trade either way raises ``ValueError`` (:func:`build_network` drops it).
+    yields each row as a checked :class:`BilateralFlow`, built on demand: every
+    row of a table :func:`flow_fault` passes, zero-trade rows included.
     """
 
     codes: tuple[str, ...]
@@ -327,7 +326,7 @@ def build_network(
     Countries are sorted alphabetically by display name and flows by
     (reporter, partner) code, so the result is independent of input order.
     Flow rows recording zero trade both ways are dropped after the checks,
-    as :func:`~tradenet.ingestion.load_flows` drops them from a file.
+    here alone: the loaders and :class:`FlowTable` keep them.
 
     Raises
     ------

@@ -209,11 +209,18 @@ class TestWriteMatrixCsv:
             ("code,AAA,BBB\nAAA,0,1\nBBB,2,x\n", "m.csv:3: could not convert string to float: 'x'"),
             ("code,AAA,AAA\nAAA,0,1\nAAA,2,0\n", "m.csv: column(s) named twice AAA"),
             ("AAA,BBB\nAAA,0\n", "m.csv: missing column(s) code"),
+            ("code,AAA,BBB\nBBB,0,1\nAAA,2,0\n", "m.csv:2: row label 'BBB', expected 'AAA'"),
+            ("code,AAA,BBB\nAAA,0,1\n", "m.csv: 1 row(s) for 2 column label(s)"),
+            ("code,AAA,BBB\nAAA,0,1\nBBB,2,0\nCCC,x,0\n", "m.csv:4: could not convert string to float: 'x'"),
+            ("code,AAA,BBB\nAAA,0,1\nBBB,2,0\nCCC,1,0\n", "m.csv: 3 row(s) for 2 column label(s)"),
         ],
-        ids=["short-row", "not-a-number", "label-twice", "no-code"],
+        ids=["short-row", "not-a-number", "label-twice", "no-code", "rows-reordered", "row-missing",
+             "row-fault-before-count", "row-extra"],
     )
     def test_fault_names_the_file_and_line(self, tmp_path, text, message):
-        # a short row used to raise numpy's inhomogeneous-shape error, with no path
+        # a short row used to raise numpy's inhomogeneous-shape error, with no
+        # path; reordered rows read as another matrix, and a missing row raised
+        # InfluenceMatrix's shape error, with no path
         (tmp_path / "m.csv").write_text(text)
         with pytest.raises(TradeNetError) as exc:
             read_matrix_csv(tmp_path / "m.csv")

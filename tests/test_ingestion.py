@@ -135,17 +135,6 @@ class TestLoadFlows:
             load_flows(path)
         assert ":4:" in str(exc.value)
 
-    def test_zero_rows_dropped_and_counted(self, tmp_path, caplog):
-        path = write(
-            tmp_path,
-            "f.csv",
-            FLOWS_HEADER + "USA,CHN,0,0\nCHN,USA,1,1\nUSA,MEX,0,0\n",
-        )
-        with caplog.at_level("INFO", logger="tradenet.ingestion"):
-            flows = load_flows(path)
-        assert len(flows) == 1
-        assert "2" in caplog.text
-
     def test_negative_amount(self, tmp_path):
         path = write(tmp_path, "f.csv", FLOWS_HEADER + "USA,CHN,-1,1\n")
         with pytest.raises(NegativeAmountError, match=":2:"):
@@ -255,8 +244,8 @@ def oracle(rows):
     ``(error class, line)`` of the first faulty line, else the kept records
     as ``(reporter, partner, exports, imports)`` tuples.  A plain loop over
     the documented rules: blank rows are skipped; then field count,
-    self-flow, pair on an earlier line, exports, imports; rows recording no
-    trade are dropped.
+    self-flow, pair on an earlier line, exports, imports.  Rows recording no
+    trade are kept, as :func:`load_flows` keeps them.
     """
     seen, kept = set(), []
     for line, cells in enumerate(rows, start=2):
@@ -281,8 +270,7 @@ def oracle(rows):
             if amount < 0:
                 return NegativeAmountError, line
             amounts.append(amount)
-        if amounts != [0.0, 0.0]:
-            kept.append((reporter, partner, *amounts))
+        kept.append((reporter, partner, *amounts))
     return kept
 
 
@@ -331,7 +319,7 @@ class TestFlowOracle:
             expected = UnknownCountryError, row + 2
         if isinstance(expected, list):
             net = build_network(countries, table)
-            assert records(net.flows) == sorted(expected)
+            assert records(net.flows) == sorted(r for r in expected if r[2:] != (0.0, 0.0))
         else:
             error, line = expected
             error = ValueError if error is MalformedRowError else error
@@ -478,8 +466,6 @@ class TestFastPath:
                     assert fast == expected
                 else:  # the block parser raises the fault
                     assert not isinstance(expected, FlowTable)
-            if isinstance(expected, FlowTable):
-                expected = expected.take((expected.exports != 0) | (expected.imports != 0))
             assert outcome(load_flows, path) == expected
 
     def test_clean_file_takes_the_fast_path(self, tmp_path, caplog):
@@ -492,7 +478,7 @@ class TestFastPath:
         lines = [FLOW_COLUMNS, ["AAA", "BBB", "1", "1"], ["BBB", "AAA", "0", "0"]]
         path = write(tmp_path, "f.csv", fuzz_text(lines, ["\n"], csv.QUOTE_ALL))
         with caplog.at_level("DEBUG", logger="tradenet.ingestion"):
-            assert load_flows(path) == FlowTable(("AAA", "BBB"), [0], [1], [1.0], [1.0])
+            assert load_flows(path) == FlowTable(("AAA", "BBB"), [0, 1], [1, 0], [1.0, 0.0], [1.0, 0.0])
         assert "block parser" not in caplog.text
 
     def test_deferral_names_its_reason(self, tmp_path, caplog):
@@ -900,6 +886,18 @@ def test_subset_matrix_equals_matrix_of_filtered_records(seed, data):
 
 
 class TestManifest:
+    def test_zero_rows_dropped_and_counted(self, tmp_path, caplog):
+        # load_flows keeps them; the count is taken before the region subset
+        lands = "".join(f"{c},Land {c},1,1,1\n" for c in ("CHN", "MEX", "USA"))
+        countries = write(tmp_path, "c.csv", COUNTRIES_HEADER + lands)
+        rows = "USA,CHN,0,0\nCHN,USA,1,1\nUSA,MEX,0,-0\nMEX,USA,1,1\n"
+        flows = write(tmp_path, "f.csv", FLOWS_HEADER + rows)
+        assert len(load_flows(flows)) == 4
+        with caplog.at_level("INFO", logger="tradenet.ingestion"):
+            network = load_network(DatasetManifest(countries, flows, ("CHN", "USA")))
+        assert records(network.flows) == [("CHN", "USA", 1.0, 1.0)]
+        assert caplog.messages == [f"{flows}: dropped 2 zero-trade row(s)"]
+
     def test_load_network_with_region(self, tmp_path):
         rng = np.random.default_rng(93)
         net = synthetic_network(generated_pairs(5), rng, density=0.9)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tradenet import (
     BilateralFlow,
@@ -12,6 +14,7 @@ from tradenet import (
     save_flows,
     trade_influence,
 )
+from tradenet.model import flow_fault
 from tradenet.errors import (
     DuplicateCountryError,
     DuplicateFlowError,
@@ -45,9 +48,11 @@ class TestRecords:
         with pytest.raises(SelfFlowError, match=r"flow \(AAA, AAA\) is a self-flow"):
             BilateralFlow("AAA", "AAA", 1.0, 2.0)
 
-    def test_flow_rejects_empty_trade(self):
-        with pytest.raises(ValueError):
-            BilateralFlow("AAA", "BBB", 0.0, 0.0)
+    def test_flow_accepts_empty_trade(self):
+        # a record of no trade is valid; build_network alone drops it
+        flow = BilateralFlow("AAA", "BBB", 0.0, -0.0)
+        assert flow.total == 0.0
+        assert len(build_network(make_countries(), [flow]).flows) == 0
 
     def test_flow_rejects_negative(self):
         with pytest.raises(NegativeAmountError):
@@ -57,6 +62,27 @@ class TestRecords:
         rec = CountryRecord("AAA", "Alpha", 1.0, 1.0, 1.0)
         with pytest.raises(AttributeError):
             rec.gdp = 5.0
+
+
+# rows of distinct pairs, some trading nothing (-0.0 included)
+TABLE_AMOUNT = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e300))
+TABLE_ROWS = st.lists(
+    st.tuples(st.sampled_from(["AAA", "BBB", "CCC", "DD"]), st.sampled_from(["AAA", "BBB", "EE"]),
+              TABLE_AMOUNT, TABLE_AMOUNT).filter(lambda row: row[0] != row[1]),
+    unique_by=lambda row: row[:2], max_size=8,
+)
+
+
+class TestFlowTable:
+    @given(rows=TABLE_ROWS)
+    def test_records_round_trip(self, rows):
+        # codes in order of first appearance, reporter column before partner
+        reporters, partners, exports, imports = ([row[k] for row in rows] for k in range(4))
+        index = {code: i for i, code in enumerate(dict.fromkeys(reporters + partners))}
+        reporter, partner = ([index[c] for c in codes] for codes in (reporters, partners))
+        table = FlowTable(tuple(index), reporter, partner, exports, imports)
+        assert flow_fault(table) is None
+        assert FlowTable.from_records(list(table)) == table
 
 
 class TestBuildNetwork:
