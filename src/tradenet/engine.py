@@ -18,13 +18,14 @@ Four operators are provided, all reading a matrix ``D`` whose entry
 ``G = e^-lambda * (exp(lambda*D) - I)``, computed by scaling and squaring on
 ``exp(x) - 1`` (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)):
 ``heat_kernel = G + e^-lambda * I`` and ``pwp = G / (1 - e^-lambda)``.
-The Taylor degree and the squaring count are planned together from the
-norms of the powers of ``|D|`` (Al-Mohy & Higham 2009, SIAM J. Matrix Anal.
-Appl. 31(3)), and the polynomial is evaluated with two stored powers
-(Paterson & Stockmeyer 1973, SIAM J. Comput. 2(1)).  Neither operator forms
-``e^lambda``, so both are finite for every ``lambda > 0`` with
-``lambda * alpha(D) <= 2**32 * theta_30`` (about 1.5e10), where
-``alpha(D) = min over p = 1..6 of max(d_p, d_{p+1})`` and
+The squaring count is planned from the norms of the powers of ``|D|``
+(Al-Mohy & Higham 2009, SIAM J. Matrix Anal. Appl. 31(3)), and the Taylor
+polynomial of degree 12 is evaluated in 4 products (Bader, Blanes & Casas
+2019, Mathematics 7(12):1174; Sastre 2018, Linear Algebra Appl. 539).
+Neither operator forms ``e^lambda``, so both are finite for every
+``lambda > 0`` with ``lambda * alpha(D) <= 2**32 * theta_12`` (about
+1.28e9), where
+``alpha(D) = min over p = 1..4 of max(d_p, d_{p+1})`` and
 ``d_p = max(|| |D|^p ||_1, || |D|^p ||_inf) ** (1/p)``.  ``alpha(D)`` lies
 between the spectral radius of ``D`` and ``max(||D||_1, ||D||_inf)``.  Beyond
 that the scaling needs more than ``_MAX_SQUARINGS`` squarings and raises
@@ -62,27 +63,26 @@ __all__ = [
     "heat_kernel",
 ]
 
-# _THETA[m]: the largest double with theta**m * e**theta / (m+1)! <= 2**-53, so the
-# Taylor polynomial of exp(x) - 1 of degree m is exact to unit roundoff, relative to
-# ||x||, wherever the norm bound of x is at most theta
-_THETA = {
-    2: 2.5809567946450946e-08,
-    4: 0.0003397120758889193,
-    6: 0.00906394769366993,
-    8: 0.049881413880399864,
-    10: 0.14401316089619626,
-    12: 0.29909978219073363,
-    14: 0.5127944186695251,
-    16: 0.7783122686385472,
-    18: 1.087825763625857,
-    20: 1.4339988951133145,
-    22: 1.8105082039852736,
-    24: 2.2121075682332556,
-    26: 2.634519263943621,
-    28: 3.0742778261872727,
-    30: 3.5285776080709157,
-}
+# The largest double with theta**12 * e**theta / 13! <= 2**-53, so the Taylor
+# polynomial of exp(x) - 1 of degree 12 is exact to unit roundoff, relative to ||x||,
+# wherever the norm bound of x is at most theta
+_THETA_12 = 0.29909978219073363
 _MAX_SQUARINGS = 32  # inputs needing more are refused with OverflowError
+
+# Degree 12 in 4 products (Bader, Blanes & Casas 2019, Mathematics 7(12):1174;
+# Sastre 2018, Linear Algebra Appl. 539:229-250): A6 = B3 + B4 @ B4 and
+# T = B1 + (B5 + A6) @ A6.  B1 and B4 are cubics in A with no constant term, given
+# by their coefficients of A, A^2 and A^3.
+# B3 and B5 are given in the basis (B1, B4, A, I), since A^2 and A^3 are overwritten
+# before they are formed; B3 has no I term.  The coefficients solve
+# T = sum_{j=1..12} A^j / j! in 50-digit arithmetic, on the member of a one-parameter
+# family (A6's coefficient of A^3 is 0.005) whose evaluated form cancels least: with
+# every coefficient replaced by its absolute value, j! times the coefficient of A^j
+# is at most 2.67 (1 would be no cancellation at all).
+_B1 = (-0.5481612286011007, -0.4120038905097229, 0.0018194925272970763)
+_B4 = (0.13181061013830184, 0.02027855540589259, 0.006759518468630863)
+_B3 = (-0.16629098316673224, -0.006404645614961781, 0.09948346868683537)
+_B5 = (0.02376991503285915, 3.5432881550110182, 0.47572356903313884, 8.157080816735766)
 
 
 def _unpack(m) -> tuple[np.ndarray, InfluenceMatrix | None]:
@@ -118,64 +118,114 @@ def _check_p(p) -> None:
         raise ValueError(f"p must lie in (0, 1), got {p}")
 
 
-def _plan(a: np.ndarray) -> tuple[int, int]:
-    """The even degree ``m`` and squaring count ``k`` for ``exp(a) - I`` in the fewest products.
+def _plan(a: np.ndarray) -> int:
+    """The squaring count ``k`` for ``exp(a) - I`` by the Taylor polynomial of degree 12.
 
     ``d_p = max(||B^p||_1, ||B^p||_inf) ** (1/p)`` with ``B = |a|``, for
-    p = 1..7, from the vectors ``1^T B^p`` and ``B^p 1``: exact norms of
+    p = 1..5, from the vectors ``1^T B^p`` and ``B^p 1``: exact norms of
     ``a**p`` for ``a >= 0``, upper bounds otherwise.  For ``j >= p*(p-1)``,
     ``||a**j|| <= max(d_p, d_{p+1})**j`` (Al-Mohy & Higham 2009, SIAM J.
-    Matrix Anal. Appl. 31(3)), so degree ``m`` bounds its remainder with
-    ``alpha_m``, the least such ``max`` over ``p*(p-1) <= m + 1``, and needs
-    ``k`` squarings to bring ``alpha_m / 2**k`` to ``_THETA[m]``.  Of the
-    plans with ``k <= _MAX_SQUARINGS`` the one with the fewest products
-    ``k + m/2`` wins, ties going to fewer squarings.
+    Matrix Anal. Appl. 31(3)), so the remainder after degree 12 is bounded
+    with ``alpha``, the least such ``max`` over ``p*(p-1) <= 13``, and ``k``
+    squarings bring ``alpha / 2**k`` to ``_THETA_12``.
     """
     b = np.abs(a)
     left = right = np.ones(len(a))
     norms = []
     with np.errstate(over="ignore", invalid="ignore"):  # a huge input gives inf or nan
-        for _ in range(7):
+        for _ in range(5):
             left, right = left @ b, b @ right
             norms.append(np.maximum(left.max(), right.max()))
-        d = np.array(norms) ** (1.0 / np.arange(1, 8))
+        d = np.array(norms) ** (1.0 / np.arange(1, 6))
     d[np.isnan(d)] = math.inf
-    plans = []
-    for m, theta in _THETA.items():
-        alpha = min(max(d[p - 1], d[p]) for p in range(1, 7) if p * (p - 1) <= m + 1)
-        if alpha <= theta * 2.0**_MAX_SQUARINGS:
-            k = 0 if alpha <= theta else math.ceil(math.log2(alpha / theta))
-            plans.append((k + m // 2, k, m))
-    if not plans:  # alpha is now alpha_30, the least bound of all
+    alpha = min(max(d[p - 1], d[p]) for p in range(1, 5))
+    if not alpha <= _THETA_12 * 2.0**_MAX_SQUARINGS:
         raise OverflowError(
             f"matrix norm bound {alpha:g} needs more than {_MAX_SQUARINGS} squarings"
         )
-    _, k, m = min(plans)
-    return m, k
+    return 0 if alpha <= _THETA_12 else math.ceil(math.log2(alpha / _THETA_12))
+
+
+def _combine(out: np.ndarray, terms, buffer: np.ndarray, identity: float = 0.0) -> None:
+    """``out <- sum(c * t for c, t in terms) + identity * I`` in place, a few rows at a time.
+
+    ``out`` may be the first term, standing for its old value; no other term
+    may share its memory.  Each scaled term goes through ``buffer``, so no
+    n x n temporary is made, and the work goes in blocks of at most 2**15
+    entries, whose operands stay in cache while they are combined.
+    """
+    rows = max(1, min(len(buffer), 2**15 // len(out)))
+    (first, head), *rest = terms
+    for start in range(0, len(out), rows):
+        block = out[start : start + rows]
+        spare = buffer[: len(block)]
+        if head is out:
+            block *= first
+        else:
+            np.multiply(head[start : start + rows], first, out=block)
+        for c, term in rest:
+            block += np.multiply(term[start : start + rows], c, out=spare)
+    out.flat[:: len(out) + 1] += identity
+
+
+def _add_product(out: np.ndarray, left: np.ndarray, right: np.ndarray, h: float, buffer: np.ndarray) -> None:
+    """``out <- h * (h * out + left @ right)`` in place, ``len(buffer)`` rows at a time.
+
+    ``out`` shares no memory with ``left`` or ``right``.
+    """
+    rows = len(buffer)
+    for start in range(0, len(out), rows):
+        block = out[start : start + rows]
+        spare = buffer[: len(block)]
+        np.matmul(left[start : start + rows], right, out=spare)
+        block *= h
+        block += spare
+        block *= h
+
+
+def _taylor(a: np.ndarray, d: np.ndarray, step: float, h: float) -> np.ndarray:
+    """``h**2 * T``, ``T`` the Taylor polynomial ``sum_{j=1..12} A**j / j!`` of ``exp(A) - 1``.
+
+    ``a`` holds ``A = step * d`` and is overwritten.  ``A`` is read from
+    ``d`` once ``a`` holds something else, ``step`` folded into the
+    coefficient.  Two more n x n arrays are made, and a block of n/8 rows
+    through which every scaled term and the last product pass; that product
+    is added row block by row block into one of the arrays, which is
+    returned.  The identity term multiplies only a factor with no constant
+    term, so ``T`` has none, and an entry that no path reaches is exactly 0
+    in every power of ``A`` and so in ``T``.
+
+    The block is allocated after the first n x n array.  Allocated before
+    it, the block raised ``operator-sweep``'s peak RSS by about 3 MB, most
+    likely by splitting the heap hole that ``_plan``'s freed ``|x|`` leaves.
+    """
+    (b1, b2, b3), (c1, c2, c3), (u1, u4, ua), (v1, v4, va, v0) = _B1, _B4, _B3, _B5
+    a2 = a @ a
+    buffer = np.empty((-(-len(d) // 8), len(d)))  # n/8 rows
+    a3 = a2 @ a
+    _combine(a, [(c1, a), (c2, a2), (c3, a3)], buffer)  # B4
+    _combine(a2, [(b2, a2), (b3, a3), (b1 * step, d)], buffer)  # B1
+    np.matmul(a, a, out=a3)
+    _combine(a3, [(1.0, a3), (u1, a2), (u4, a), (ua * step, d)], buffer)  # A6
+    _combine(a, [(h * v4, a), (h * v1, a2), (h, a3), (h * va * step, d)], buffer, h * v0)  # h * (B5 + A6)
+    _add_product(a2, a, a3, h, buffer)
+    return a2
 
 
 def _damped_expm1(d: np.ndarray, scale: float, s: float) -> np.ndarray:
     """``e**-s * (exp(scale*d) - I)`` by scaling and squaring, for a square array ``d``.
 
-    :func:`_plan` picks a degree ``m`` and a squaring count ``k`` for the
-    kernel's one copy, ``x = scale*d``, which is then scaled in place by
-    ``2**k``.  The Taylor polynomial ``sum_{j=1..m} x**j / j!`` of
-    ``exp(x) - 1`` (no constant term) is evaluated with two stored powers,
-    ``x`` and ``y = x @ x`` (Paterson & Stockmeyer 1973, SIAM J. Comput.
-    2(1)), by Horner's rule in ``y``:
-    ``acc <- y @ (acc + b[2i+2] I) + b[2i+1] x`` with ``b[j] = 1/j!``, in
-    ``m/2`` products.  It is damped by ``e**-c`` with ``c = s / 2**k``, half
-    in the coefficients and half after, so neither factor underflows for
-    ``c < 1400``.  Each of the ``k`` doublings applies
+    :func:`_plan` picks a squaring count ``k`` for the kernel's one copy,
+    ``x = scale*d``, which is then scaled in place by ``2**-k`` to ``A``.
+    :func:`_taylor` evaluates the Taylor polynomial of ``exp(A) - 1`` of
+    degree 12 in 4 products, damped by ``e**-c`` with ``c = s / 2**k``, half
+    in its last combinations and half after the last product, so neither
+    factor underflows for ``c < 1400``.  Each of the ``k`` doublings applies
     ``exp(2x) - 1 = (exp(x) - 1)**2 + 2*(exp(x) - 1)`` with the damping
     folded in, ``G <- G @ G + 2*e**-c * G``, and doubles ``c``.
 
-    No identity enters the sum and every coefficient is positive, so an
-    entry that no path reaches stays exactly zero, and the undamped
-    ``exp(scale*d)`` is never formed.  ``d`` is only read, and ``x`` is
-    freed once ``y`` is formed: each ``b x`` is then ``(b*scale/2**k) * d``.
-    Peak memory is three n x n arrays: ``y``, the sum and a product buffer,
-    which also takes each ``b x``.
+    The undamped ``exp(scale*d)`` is never formed and ``d`` is only read.
+    Peak memory is three n x n arrays and a block of n/8 rows.
     """
     n = d.shape[0]
     if n == 0:
@@ -184,28 +234,15 @@ def _damped_expm1(d: np.ndarray, scale: float, s: float) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("matrix exponential of a non-finite matrix")
 
-    m, squarings = _plan(x)
+    squarings = _plan(x)
     x /= 2.0**squarings
-    step = scale / 2.0**squarings  # x = step * d
     c = s / 2.0**squarings
-    coefficients = [math.exp(-c / 2) / math.factorial(j) for j in range(m + 1)]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow reported by _pack
-        y = x @ x
-        del x
-        result = y * coefficients[m]
-        product = np.multiply(d, coefficients[m - 1] * step)  # reused, so neither phase allocates per step
-        result += product
-        for j in range(m - 2, 0, -2):
-            result.flat[:: n + 1] += coefficients[j]  # y @ (acc + b I) = y @ acc + b y
-            np.matmul(y, result, out=product)
-            result, product = product, result
-            result += np.multiply(d, coefficients[j - 1] * step, out=product)  # the old sum is spent
-        del y
-        result *= math.exp(-c / 2)
+        result = _taylor(x, d, scale / 2.0**squarings, math.exp(-c / 2))
         for _ in range(squarings):
-            np.matmul(result, result, out=product)
+            np.matmul(result, result, out=x)
             result *= 2.0 * math.exp(-c)
-            result += product
+            result += x
             c *= 2.0
     return result
 
@@ -247,7 +284,7 @@ def pwp(direct, lam: float = 1.0):
 
     Computed as ``e**-lam * (exp(lam*D) - I) / (1 - e**-lam)``, which never
     forms ``e**lam``; defined for finite ``lam > 0`` with
-    ``lam * alpha(D) <= 2**32 * theta_30``, about 1.5e10 (see the module docstring).
+    ``lam * alpha(D) <= 2**32 * theta_12``, about 1.28e9 (see the module docstring).
     """
     out, source = _kernel(direct, lam)
     out /= -math.expm1(-lam)
@@ -328,7 +365,7 @@ def heat_kernel(direct, lam: float = 1.0):
 
     Computed as ``e**-lam * (exp(lam*D) - I) + e**-lam * I``, with no shift
     of ``D``; defined for finite ``lam > 0`` with
-    ``lam * alpha(D) <= 2**32 * theta_30``, about 1.5e10 (see the module docstring).
+    ``lam * alpha(D) <= 2**32 * theta_12``, about 1.28e9 (see the module docstring).
     """
     out, source = _kernel(direct, lam)
     out.flat[:: len(out) + 1] += math.exp(-lam)

@@ -217,24 +217,22 @@ def theta_bound(theta, m):
 
 
 class TestPlan:
-    """The degree ``m`` and squaring count ``k`` that ``_damped_expm1`` plans.
+    """The squaring count ``k`` that ``_damped_expm1`` plans.
 
     Each pinned matrix lies at least 3% inside every threshold that could
     change its plan, so no BLAS rounding can move it.
     """
 
     def test_theta_is_the_largest_double_within_its_bound(self):
-        assert list(engine._THETA) == list(range(2, 31, 2))
+        theta = engine._THETA_12
         roundoff = Decimal(2) ** -53
-        for m, theta in engine._THETA.items():
-            assert theta_bound(theta, m) <= roundoff < theta_bound(math.nextafter(theta, math.inf), m), m
+        assert theta_bound(theta, 12) <= roundoff < theta_bound(math.nextafter(theta, math.inf), 12)
 
     def test_diagonal_plans_from_its_norm(self):
-        # alpha = 3 for every m; m = 8..16 all cost 10 products, and the tie
-        # goes to m = 16, with the fewest squarings
+        # alpha = 3, and 3 / theta_12 = 10.0 needs k = 4
         d = np.diag([0.25, 1.0, 3.0])
-        assert engine._plan(d) == (16, 2)
-        assert engine._plan(-d) == (16, 2)
+        assert engine._plan(d) == 4
+        assert engine._plan(-d) == 4
 
     def test_hub_plans_from_powers_not_from_its_column_sums(self):
         # ||D||_1 = 31.5 would need 6 squarings on the 1-norm alone; the
@@ -242,29 +240,32 @@ class TestPlan:
         d = hub_direct()
         assert np.abs(d.sum(axis=1) - 1.0).max() < 1e-15
         assert d.sum(axis=0).max() == 31.5
-        assert engine._plan(d) == (12, 3)
+        assert engine._plan(d) == 3
         # alpha takes the larger of the 1- and inf-norms, so the transpose,
         # with ||D^T||_1 = 1, plans alike
-        assert engine._plan(d.T) == (12, 3)
+        assert engine._plan(d.T) == 3
 
     def test_nilpotent_chain_needs_no_squaring(self):
-        # D^4 = 0, so alpha_12 = max(d_4, d_5) = 0 and degree 12 is exact
+        # D^4 = 0, so alpha = max(d_4, d_5) = 0 and degree 12 is exact
         d = np.diag([100.0] * 3, k=1)
-        assert engine._plan(d) == (12, 0)
+        assert engine._plan(d) == 0
         expected = np.diag([100.0] * 3, k=1) + np.diag([5e3] * 2, k=2)
         expected[0, 3] = 1e6 / 6
         np.testing.assert_allclose(matrix_exponential(d) - np.identity(4), expected, rtol=1e-15)
 
     def test_squaring_limit_is_planned_from_the_norm_bound(self):
         # d_p = (x**p) ** (1/p) may round an ulp either way, so test a little to each side
-        edge = engine._THETA[30] * 2.0**engine._MAX_SQUARINGS
+        edge = engine._THETA_12 * 2.0**engine._MAX_SQUARINGS
         inside, beyond = edge * (1 - 1e-12), edge * (1 + 1e-12)
-        assert engine._plan(np.array([[inside]])) == (30, engine._MAX_SQUARINGS)
+        assert engine._plan(np.array([[inside]])) == engine._MAX_SQUARINGS
         assert pwp(np.array([[1.0]]), inside)[0, 0] == pytest.approx(1.0)
-        with pytest.raises(OverflowError, match=r"^matrix norm bound 1\.5155\d*e\+10 needs more than 32 squarings$"):
+        with pytest.raises(OverflowError, match=r"^matrix norm bound 1\.28462\d*e\+09 needs more than 32 squarings$"):
             engine._plan(np.array([[beyond]]))
         with pytest.raises(OverflowError, match="norm bound"):
             pwp(np.array([[1.0]]), beyond)
+        # lambda 2e9 lay inside the edge of a degree-30 plan, about 1.5e10
+        with pytest.raises(OverflowError, match=r"^matrix norm bound 2e\+09 needs more than 32 squarings$"):
+            pwp(np.array([[1.0]]), 2e9)
 
     def test_huge_input_is_refused_without_warnings(self):
         # the powers overflow to inf (and inf * 0 to nan) while the plan is made
@@ -273,6 +274,42 @@ class TestPlan:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="^matrix norm bound inf"):
                 matrix_exponential(d)
+
+
+def series(*terms):
+    """The coefficients of ``sum(c * p for c, p in terms)``, each ``p`` listing those of A**0, A**1, ..."""
+    size = max(len(p) for _, p in terms)
+    return [sum(Decimal(c) * p[j] for c, p in terms if j < len(p)) for j in range(size)]
+
+
+def series_product(p, q):
+    out = [Decimal(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+class TestScheme:
+    """The stored coefficients of the degree-12 scheme, expanded in 50-digit decimals."""
+
+    def test_expands_to_the_taylor_polynomial(self):
+        (u1, u4, ua), (v1, v4, va, v0) = engine._B3, engine._B5
+        identity, a = [Decimal(1)], [Decimal(0), Decimal(1)]
+        with decimal.localcontext() as context:
+            context.prec = 50
+            b1 = [Decimal(0)] + [Decimal(c) for c in engine._B1]
+            b4 = [Decimal(0)] + [Decimal(c) for c in engine._B4]
+            b3 = series((u1, b1), (u4, b4), (ua, a))
+            a6 = series((1, b3), (1, series_product(b4, b4)))
+            b5 = series((v1, b1), (v4, b4), (va, a), (v0, identity))
+            t = series((1, b1), (1, series_product(series((1, b5), (1, a6)), a6)))
+        # T = sum_{j=1..12} A**j / j!, each coefficient within 4 ulps
+        assert len(t) == 13 and t[0] == 0
+        for j in range(1, 13):
+            assert abs(t[j] * math.factorial(j) - 1) <= 4 * Decimal(2) ** -53, j
+        # no identity term, so an entry that no path reaches stays exactly 0
+        assert b1[0] == b3[0] == b4[0] == 0
 
 
 class TestPwp:
@@ -526,11 +563,11 @@ class TestWorkingSet:
         ids=lambda value: getattr(value, "__name__", None),
     )
     def test_peak_memory_in_n_by_n_arrays(self, operator, arrays):
-        # the kernel holds x @ x, the sum and a product buffer, having freed its
-        # scaled copy x once x @ x is formed (a third stored power would add
-        # one); micmac holds D^2 and D^4; column_normalize holds its result, and
-        # pagerank_limit frees I - p*Dbar before it builds its result.  The
-        # 0.25 leaves room for vectors and numpy's 64 KiB ufunc buffer.
+        # the kernel holds three arrays (powers of its scaled copy, then the
+        # combinations that replace them) and a block of n/8 rows; micmac holds
+        # D^2 and D^4; column_normalize holds its result, and pagerank_limit
+        # frees I - p*Dbar before it builds its result.  The 0.25 leaves room
+        # for that block, vectors and numpy's 64 KiB ufunc buffer.
         # tracemalloc does not see the copy LAPACK makes inside
         # np.linalg.solve, so pagerank_limit's figure leaves that out.
         d = column_normalize(sparse_direct(np.random.default_rng(300), 300, "trade"))
@@ -639,7 +676,7 @@ class TestDecimalOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(d=ORACLE_MATRIX, lam=ORACLE_LAMBDA)
-    # the worst case found over ten seeds: 3.4e-14 for pwp, after 9 squarings
+    # a hard case from a search over ten seeds: 1.2e-14 for pwp, after 9 squarings
     @example(d=[[0.0, 1.0], [1.0, 1.0]], lam=math.exp(4.5))
     def test_entrywise_relative_error(self, d, lam):
         self.check(np.array(d), lam)
@@ -656,11 +693,21 @@ class TestDecimalOracle:
         self.check(d, lam)
 
     def test_damping_without_squarings_keeps_its_precision(self):
-        # D**5 = 0, so the plan squares nothing and damps by e**-720, which is
+        # D**4 = 0, so the plan squares nothing and damps by e**-720, which is
         # subnormal; taken in two halves, neither factor loses precision
-        d = np.diag([1.0] * 4, k=1)
-        assert engine._plan(720.0 * d) == (20, 0)
+        d = np.diag([1.0] * 3, k=1)
+        assert engine._plan(720.0 * d) == 0
         assert relative_error(pwp(d, 720.0), taylor_oracle(d, 720.0)[0]) < 1e-13
+
+    @pytest.mark.parametrize("lam, squarings", [(1e-8, 0), (3.0, 3)])
+    def test_tiny_and_scaled_norms(self, lam, squarings):
+        # country 2 influences no one, so column 2 is exactly 0 off the
+        # diagonal, which relative_error requires of the result too; every
+        # other entry is reached by a path of at most 2 steps
+        d = np.array([[0.0, 0.5, 0.0], [0.4, 0.0, 0.0], [0.3, 0.2, 0.0]])
+        assert engine._plan(lam * d) == squarings
+        for operator, exact in zip((pwp, heat_kernel), taylor_oracle(d, lam)):
+            assert relative_error(operator(d, lam), exact) < 1e-13, operator.__name__
 
     def test_oracle_matches_the_finite_series_of_a_chain(self):
         # D[i, i+1] = 0.5 is nilpotent: exp(lam*D) - I has three terms
@@ -678,25 +725,27 @@ class TestDecimalOracle:
         "path far below the largest entry is 0",
     )
     def test_long_path_entry_at_tiny_lambda(self):
-        d = np.diag([0.5] * 3, k=1)
+        # the plan squares nothing, and entry [0, 13] of this 14-country chain
+        # is reached only by the path of 13 steps, one more than the degree,
+        # so it comes out 0 against 2.0e-254
+        d = np.diag([0.5] * 13, k=1)
         assert relative_error(pwp(d, 1e-20), taylor_oracle(d, 1e-20)[0]) < 1e-12
 
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
-        reason="the degree bounds the truncation relative to the norm, not to each "
-        "entry, so an entry reached only by long cycles is off by about 1e-12",
+        reason="the plan bounds the truncation relative to the norm, not to each "
+        "entry, so an entry reached only by paths almost as long as the degree, 12, "
+        "loses the next terms of its own series",
     )
     def test_entry_reached_only_by_long_cycles(self):
-        # found by the hub test's targeted search: the plan is (10, 0), and
-        # entries [0, 4] and [4, 4] (6.1e-8 in pwp) are reached only by paths
-        # of 5 + 2j steps, through the 1 <-> 5 pair; both operators are off by
-        # 1.3e-12 there, a plain float64 series by 2.3e-16
-        d = np.array([
-            [0, .5, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, .5, 0, 0, .5, 0],
-            [0, .5, .5, 0, 0, 0], [0, .5, 0, 0, 0, 0], [0, .5, 0, .5, 0, 0],
-        ])
-        lam = math.exp(-2.25)
+        # a chain 0 -> 1 -> ... -> 11 with a cycle 0 <-> 1; the plan squares
+        # nothing, and entry [11, 0] is reached only by paths of 11 + 2j steps,
+        # so dropping the paths of 13 steps and more leaves both operators off
+        # by 1.4e-4 there
+        d = np.diag([0.5] * 11, k=-1)
+        d[0, 1] = 0.5
+        lam = 0.3
         for operator, exact in zip((pwp, heat_kernel), taylor_oracle(d, lam)):
             assert relative_error(operator(d, lam), exact) < 1e-13, operator.__name__
 
