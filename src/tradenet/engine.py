@@ -24,19 +24,19 @@ polynomial of degree 12 is evaluated in 4 products (Bader, Blanes & Casas
 2019, Mathematics 7(12):1174; Sastre 2018, Linear Algebra Appl. 539).
 Neither operator forms ``e^lambda``, so both are finite for every
 ``lambda > 0`` with ``lambda * alpha(D) <= 2**32 * theta_12`` (about
-1.28e9), where
-``alpha(D) = min over p = 1..4 of max(d_p, d_{p+1})`` and
+1.28e9), where ``alpha(D) = min over p = 1..4 of max(d_p, d_{p+1})`` and
 ``d_p = max(|| |D|^p ||_1, || |D|^p ||_inf) ** (1/p)``.  ``alpha(D)`` lies
 between the spectral radius of ``D`` and ``max(||D||_1, ||D||_inf)``.  Beyond
-that the scaling needs more than ``_MAX_SQUARINGS`` squarings and raises
-:class:`OverflowError`.
+that, ``lambda*D`` past the float range included, the scaling needs more than
+``_MAX_SQUARINGS`` squarings and raises :class:`OverflowError`.
 
 Each operator accepts an :class:`~tradenet.model.InfluenceMatrix` (returning
 one with kind ``indirect`` and the operator's parameters) or a plain square
 array (returning an array).  All are pure, deterministic functions of their
-inputs.  A result that is not finite (``micmac`` at a large ``k``, say)
-raises :class:`OverflowError`.  :class:`MethodSpec` is the registry of
-operator names the command line offers.
+inputs.  An input holding a nan or an infinity raises :class:`ValueError`,
+naming the first such entry, before any arithmetic; a result that is not
+finite (``micmac`` at a large ``k``, say) raises :class:`OverflowError`.
+:class:`MethodSpec` is the registry of operator names the command line offers.
 """
 
 from __future__ import annotations
@@ -91,7 +91,15 @@ def _unpack(m) -> tuple[np.ndarray, InfluenceMatrix | None]:
     a = np.asarray(m if source is None else m.values, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    if a.size and not (a.min() > -math.inf and a.max() < math.inf):  # no n x n mask; nan fails both
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise ValueError(f"entry at row {_name(source, i)}, column {_name(source, j)} is {a[i, j]}, not finite")
     return a, source
+
+
+def _name(source: InfluenceMatrix | None, i) -> str:
+    """Row or column ``i``'s name: its country code if labelled, else its index."""
+    return source.labels[i] if source is not None else str(i)
 
 
 def _pack(source: InfluenceMatrix | None, values: np.ndarray, kind: MatrixKind | None = None):
@@ -146,41 +154,22 @@ def _plan(a: np.ndarray) -> int:
     return 0 if alpha <= _THETA_12 else math.ceil(math.log2(alpha / _THETA_12))
 
 
-def _combine(out: np.ndarray, terms, buffer: np.ndarray, identity: float = 0.0) -> None:
-    """``out <- sum(c * t for c, t in terms) + identity * I`` in place, a few rows at a time.
+def _combine(out: np.ndarray, scale: float, terms, buffer: np.ndarray, identity: float = 0.0) -> None:
+    """``out <- scale * out + sum(c * t for c, t in terms) + identity * I`` in place, a few rows at a time.
 
-    ``out`` may be the first term, standing for its old value; no other term
-    may share its memory.  Each scaled term goes through ``buffer``, so no
-    n x n temporary is made, and the work goes in blocks of at most 2**15
-    entries, whose operands stay in cache while they are combined.
+    No term shares memory with ``out``.  Each scaled term goes through
+    ``buffer``, so no n x n temporary is made, and the work goes in blocks
+    of at most 2**15 entries, whose operands stay in cache while they are
+    combined.
     """
     rows = max(1, min(len(buffer), 2**15 // len(out)))
-    (first, head), *rest = terms
     for start in range(0, len(out), rows):
         block = out[start : start + rows]
         spare = buffer[: len(block)]
-        if head is out:
-            block *= first
-        else:
-            np.multiply(head[start : start + rows], first, out=block)
-        for c, term in rest:
+        block *= scale
+        for c, term in terms:
             block += np.multiply(term[start : start + rows], c, out=spare)
     out.flat[:: len(out) + 1] += identity
-
-
-def _add_product(out: np.ndarray, left: np.ndarray, right: np.ndarray, h: float, buffer: np.ndarray) -> None:
-    """``out <- h * (h * out + left @ right)`` in place, ``len(buffer)`` rows at a time.
-
-    ``out`` shares no memory with ``left`` or ``right``.
-    """
-    rows = len(buffer)
-    for start in range(0, len(out), rows):
-        block = out[start : start + rows]
-        spare = buffer[: len(block)]
-        np.matmul(left[start : start + rows], right, out=spare)
-        block *= h
-        block += spare
-        block *= h
 
 
 def _taylor(a: np.ndarray, d: np.ndarray, step: float, h: float) -> np.ndarray:
@@ -195,20 +184,26 @@ def _taylor(a: np.ndarray, d: np.ndarray, step: float, h: float) -> np.ndarray:
     term, so ``T`` has none, and an entry that no path reaches is exactly 0
     in every power of ``A`` and so in ``T``.
 
-    The block is allocated after the first n x n array.  Allocated before
-    it, the block raised ``operator-sweep``'s peak RSS by about 3 MB, most
-    likely by splitting the heap hole that ``_plan``'s freed ``|x|`` leaves.
+    The block is allocated after the first n x n array: before it, it raised
+    ``operator-sweep``'s peak RSS by about 3 MB (a split heap hole, most likely).
     """
     (b1, b2, b3), (c1, c2, c3), (u1, u4, ua), (v1, v4, va, v0) = _B1, _B4, _B3, _B5
     a2 = a @ a
     buffer = np.empty((-(-len(d) // 8), len(d)))  # n/8 rows
     a3 = a2 @ a
-    _combine(a, [(c1, a), (c2, a2), (c3, a3)], buffer)  # B4
-    _combine(a2, [(b2, a2), (b3, a3), (b1 * step, d)], buffer)  # B1
+    _combine(a, c1, [(c2, a2), (c3, a3)], buffer)  # B4
+    _combine(a2, b2, [(b3, a3), (b1 * step, d)], buffer)  # B1
     np.matmul(a, a, out=a3)
-    _combine(a3, [(1.0, a3), (u1, a2), (u4, a), (ua * step, d)], buffer)  # A6
-    _combine(a, [(h * v4, a), (h * v1, a2), (h, a3), (h * va * step, d)], buffer, h * v0)  # h * (B5 + A6)
-    _add_product(a2, a, a3, h, buffer)
+    _combine(a3, 1.0, [(u1, a2), (u4, a), (ua * step, d)], buffer)  # A6
+    _combine(a, h * v4, [(h * v1, a2), (h, a3), (h * va * step, d)], buffer, h * v0)  # h * (B5 + A6)
+    rows = len(buffer)
+    for start in range(0, len(a2), rows):  # h**2 * T = h * (h * B1 + h * (B5 + A6) @ A6)
+        block = a2[start : start + rows]
+        spare = buffer[: len(block)]
+        np.matmul(a[start : start + rows], a3, out=spare)
+        block *= h
+        block += spare
+        block *= h
     return a2
 
 
@@ -224,20 +219,18 @@ def _damped_expm1(d: np.ndarray, scale: float, s: float) -> np.ndarray:
     ``exp(2x) - 1 = (exp(x) - 1)**2 + 2*(exp(x) - 1)`` with the damping
     folded in, ``G <- G @ G + 2*e**-c * G``, and doubles ``c``.
 
-    The undamped ``exp(scale*d)`` is never formed and ``d`` is only read.
-    Peak memory is three n x n arrays and a block of n/8 rows.
+    ``d`` is finite; a ``scale*d`` past the float range has the norm bound
+    inf, which :func:`_plan` refuses.  The undamped ``exp(scale*d)`` is never
+    formed and ``d`` is only read.  Peak memory is three n x n arrays and a
+    block of n/8 rows.
     """
-    n = d.shape[0]
-    if n == 0:
+    if d.size == 0:
         return np.zeros((0, 0))
-    x = d * scale
-    if not np.all(np.isfinite(x)):
-        raise ValueError("matrix exponential of a non-finite matrix")
-
-    squarings = _plan(x)
-    x /= 2.0**squarings
-    c = s / 2.0**squarings
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow reported by _pack
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite x is refused by _plan, result by _pack
+        x = d * scale
+        squarings = _plan(x)
+        x /= 2.0**squarings
+        c = s / 2.0**squarings
         result = _taylor(x, d, scale / 2.0**squarings, math.exp(-c / 2))
         for _ in range(squarings):
             np.matmul(result, result, out=x)
@@ -257,6 +250,8 @@ def matrix_exponential(m) -> np.ndarray:
     ------
     DimensionMismatchError
         If ``m`` is not square.
+    ValueError
+        If ``m`` holds a nan or an infinity.
     OverflowError
         If the required scaling exceeds ``_MAX_SQUARINGS`` or the result
         leaves the representable range.
@@ -305,12 +300,16 @@ def column_normalize(direct):
     """Divide every nonzero column by its sum; zero columns stay zero.
 
     Makes a non-negative matrix admissible for :func:`pagerank_limit`
-    (zero columns are handled there by teleportation).
+    (zero columns are handled there by teleportation).  A column whose sum
+    leaves the floating-point range raises :class:`OverflowError`.
     """
     values, source = _unpack(direct)
     if values.size and values.min() < 0:
         raise NegativeEntryError("column normalization requires non-negative entries")
-    sums = values.sum(axis=0)
+    with np.errstate(over="ignore"):  # an infinite sum is refused below
+        sums = values.sum(axis=0)
+    if sums.max(initial=0.0) == math.inf:
+        raise OverflowError(f"column {_name(source, np.argmax(sums))} sums past the floating-point range")
     return _pack(source, values / np.where(sums > 0, sums, 1.0))
 
 
@@ -342,14 +341,14 @@ def pagerank_limit(direct, p: float = 0.86):
     if values.min() < 0:
         raise NegativeEntryError("pagerank requires non-negative entries")
 
-    sums = values.sum(axis=0)
+    with np.errstate(over="ignore"):  # an infinite sum is refused below
+        sums = values.sum(axis=0)
     zero_cols = np.abs(sums) <= 1e-9
     bad = ~zero_cols & (np.abs(sums - 1.0) > 1e-9)
     if bad.any():
         j = int(np.argmax(bad))
-        label = source.labels[j] if source is not None else str(j)
         raise ColumnStochasticityError(
-            f"column {label} sums to {sums[j]:.12g}, expected 0 or 1"
+            f"column {_name(source, j)} sums to {sums[j]:.12g}, expected 0 or 1"
         )
 
     system = values * -p  # I - p*Dbar, a fresh array

@@ -370,8 +370,8 @@ def build_network(
     code_rank[sorted(range(n), key=lambda i: ordered[i].code)] = np.arange(n)
     rows = np.flatnonzero((table.exports != 0) | (table.imports != 0))
     order = rows[np.argsort(code_rank[reporter[rows]] * n + code_rank[partner[rows]])]
-    table = FlowTable(tuple(position), reporter, partner, table.exports, table.imports)
-    return TradeNetwork(ordered, table.take(order))
+    columns = (reporter, partner, table.exports, table.imports)
+    return TradeNetwork(ordered, FlowTable(tuple(position), *(column[order] for column in columns)))
 
 
 @dataclass(frozen=True)

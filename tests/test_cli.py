@@ -197,7 +197,7 @@ class TestWriteMatrixCsv:
 
     def test_padded_header_reads_back_unpadded(self, tmp_path):
         # read with its own csv.reader, the label used to be ' AAA '
-        (tmp_path / "m.csv").write_text("code, AAA ,BBB\nAAA,0, 1\nBBB,2,0\n")
+        (tmp_path / "m.csv").write_text("code, AAA ,BBB\nAAA,0, 1\nBBB,2,0\n", encoding="utf-8")
         back = read_matrix_csv(tmp_path / "m.csv")
         assert back.labels == ("AAA", "BBB")
         assert back.values.tolist() == [[0.0, 1.0], [2.0, 0.0]]
@@ -221,7 +221,7 @@ class TestWriteMatrixCsv:
         # a short row used to raise numpy's inhomogeneous-shape error, with no
         # path; reordered rows read as another matrix, and a missing row raised
         # InfluenceMatrix's shape error, with no path
-        (tmp_path / "m.csv").write_text(text)
+        (tmp_path / "m.csv").write_text(text, encoding="utf-8")
         with pytest.raises(TradeNetError) as exc:
             read_matrix_csv(tmp_path / "m.csv")
         assert str(exc.value) == f"{tmp_path / message}"
@@ -241,7 +241,7 @@ class TestRankCommand:
             "rank", *dataset_args(*us_china_files, out, "--criterion", "influence"),
         ])
         assert code == 0
-        with open(out / "ranking_direct_trade_influence.csv", newline="") as fh:
+        with open(out / "ranking_direct_trade_influence.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert [r["rank"] for r in rows] == ["1", "2"]
@@ -251,7 +251,7 @@ class TestRankCommand:
     def test_ties_resolved_by_name(self, tmp_path, uniform_files):
         out = tmp_path / "out"
         main(["rank", *dataset_args(*uniform_files, out)])
-        with open(out / "ranking_direct_trade_influence.csv", newline="") as fh:
+        with open(out / "ranking_direct_trade_influence.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["name"] for r in rows] == ["Alpha", "Beta", "Gamma"]
         assert [r["code"] for r in rows] == ["ZZA", "AAB", "MMC"]
@@ -264,7 +264,7 @@ class TestRankCommand:
         main(["rank", *dataset_args(*files, out, "--criterion", "dependence")])
         direct = direct_matrix_quietly(net, WeightKind.TRADE)
         expected = rank(direct, "dependence")
-        with open(out / "ranking_direct_trade_dependence.csv", newline="") as fh:
+        with open(out / "ranking_direct_trade_dependence.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["code"] for r in rows] == [row.code for row in expected.rows]
         assert [int(r["rank"]) for r in rows] == list(range(1, 7))
@@ -272,7 +272,7 @@ class TestRankCommand:
     def test_json_format(self, tmp_path, us_china_files):
         out = tmp_path / "out"
         main(["rank", *dataset_args(*us_china_files, out, "--format", "json")])
-        payload = json.loads((out / "ranking_direct_trade_influence.json").read_text())
+        payload = json.loads((out / "ranking_direct_trade_influence.json").read_text(encoding="utf-8"))
         assert payload["criterion"] == "influence"
         assert [row["rank"] for row in payload["rows"]] == [1, 2]
 
@@ -285,9 +285,9 @@ class TestRankCommand:
         for fmt in ("csv", "json"):
             assert main(["rank", *dataset_args(*files, out, "--method", method, "--format", fmt)]) == 0
         for stem in ("ranking_direct_trade", f"ranking_indirect_trade_{method}"):
-            with open(out / f"{stem}_influence.csv", newline="") as fh:
+            with open(out / f"{stem}_influence.csv", newline="", encoding="utf-8") as fh:
                 expected = [float(row["value"]) for row in csv.DictReader(fh)]
-            payload = json.loads((out / f"{stem}_influence.json").read_text())
+            payload = json.loads((out / f"{stem}_influence.json").read_text(encoding="utf-8"))
             assert [row["value"] for row in payload["rows"]] == expected
 
     def test_pagerank_prints_only_written_paths(self, tmp_path, us_china_files, capsys):
@@ -310,7 +310,7 @@ class TestRankCommand:
         out = tmp_path / "out"
         argv = dataset_args(*files, out, "--method", "pagerank", "--p", "0.999")
         assert main(["rank", *argv]) == 0
-        with open(out / "ranking_indirect_trade_pagerank_influence.csv") as handle:
+        with open(out / "ranking_indirect_trade_pagerank_influence.csv", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
         # a rank-one output: every country's influence is the vector's sum, 1
         assert len(rows) == n and {row["value"] for row in rows} == {"1"}
@@ -320,7 +320,7 @@ class TestPlaneCommand:
     def test_uniform_network_all_sector_three(self, tmp_path, uniform_files):
         out = tmp_path / "out"
         assert main(["plane", *dataset_args(*uniform_files, out)]) == 0
-        lines = (out / "plane_trade_pwp.csv").read_text().splitlines()
+        lines = (out / "plane_trade_pwp.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("# mean_dependence=")
         rows = list(csv.DictReader(lines[1:]))
         assert [r["sector"] for r in rows] == ["3", "3", "3"]
@@ -334,7 +334,7 @@ class TestPlaneCommand:
         files = write_dataset(tmp_path, net)
         out = tmp_path / "out"
         main(["plane", *dataset_args(*files, out)])
-        rows = list(csv.DictReader((out / "plane_trade_pwp.csv").read_text().splitlines()[1:]))
+        rows = list(csv.DictReader((out / "plane_trade_pwp.csv").read_text(encoding="utf-8").splitlines()[1:]))
         for row in rows:
             assert float(row["dependence"]) == 0.0
             assert float(row["influence"]) == 0.0
@@ -358,7 +358,7 @@ class TestPlaneCommand:
         main(["plane", *dataset_args(*files, out)])
         direct = direct_matrix_quietly(triangle_network, WeightKind.TRADE)
         expected = {p.code: p.sector for p in analytics_plane(pwp(direct, 1.0))}
-        rows = list(csv.DictReader((out / "plane_trade_pwp.csv").read_text().splitlines()[1:]))
+        rows = list(csv.DictReader((out / "plane_trade_pwp.csv").read_text(encoding="utf-8").splitlines()[1:]))
         assert {r["code"]: int(r["sector"]) for r in rows} == expected
 
 
@@ -377,8 +377,8 @@ class TestCompareCommand:
     def test_two_country_swap_is_one(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        a.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,2\n")
-        b.write_text("code,name,value,rank\nAAA,Alpha,0.3,2\nBBB,Beta,0.7,1\n")
+        a.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,2\n", encoding="utf-8")
+        b.write_text("code,name,value,rank\nAAA,Alpha,0.3,2\nBBB,Beta,0.7,1\n", encoding="utf-8")
         assert main(["compare", str(a), str(b)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "distance: 1"
@@ -392,7 +392,7 @@ class TestCompareCommand:
         for name, perm in (("a", first), ("b", second)):
             lines = ["code,name,value,rank"]
             lines += [f"{c},N{c},0,{int(r)}" for c, r in zip(codes, perm)]
-            (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+            (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")])
         printed = float(capsys.readouterr().out.splitlines()[0].split(": ")[1])
         expected = ranking_distance(
@@ -430,8 +430,8 @@ class TestCompareCommand:
         # codes were compared as written, so " AAA " did not match "AAA"
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        a.write_text("code,name,value,rank\n AAA ,Alpha,0.7, 1\n\tBBB\x1c,Beta,0.3,2 \n")
-        b.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,2\n")
+        a.write_text("code,name,value,rank\n AAA ,Alpha,0.7, 1\n\tBBB\x1c,Beta,0.3,2 \n", encoding="utf-8")
+        b.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,2\n", encoding="utf-8")
         assert main(["compare", str(a), str(b)]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "distance: 0", "AAA: 1 -> 1 (+0)", "BBB: 2 -> 2 (+0)",
@@ -492,16 +492,17 @@ class TestCompareCommand:
     def test_json_rank_must_be_an_integer(self, tmp_path, capsys, rank, shown):
         # int() used to truncate 2.7 to 2 and read true as 1
         a = tmp_path / "r.json"
-        a.write_text(json.dumps({"rows": [{"code": "AAA", "rank": rank}, {"code": "BBB", "rank": 2}]}))
+        rows = [{"code": "AAA", "rank": rank}, {"code": "BBB", "rank": 2}]
+        a.write_text(json.dumps({"rows": rows}), encoding="utf-8")
         b = tmp_path / "b.csv"
-        b.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,2\n")
+        b.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,2\n", encoding="utf-8")
         assert main(["compare", str(a), str(b)]) == 1
         message = f"{a}: rows[0]: rank is not an integer: {shown}"
         assert capsys.readouterr().err == f"error [ingestion] {message}\n"
 
     def test_csv_repeated_code_is_reported_before_a_later_malformed_row(self, tmp_path, capsys):
         path = tmp_path / "r.csv"
-        path.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nAAA,Alpha,0.3,2\nBBB,Beta\n")
+        path.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nAAA,Alpha,0.3,2\nBBB,Beta\n", encoding="utf-8")
         assert main(["compare", str(path), str(path)]) == 1
         message = f"{path}:3: code AAA already defined on line 2"
         assert capsys.readouterr().err == f"error [ingestion] {message}\n"
@@ -511,9 +512,10 @@ class TestCompareCommand:
         # a list or an object used to end in a TypeError traceback, a number in
         # an analytics error about the two rankings' countries
         a = tmp_path / "r.json"
-        a.write_text(json.dumps({"rows": [{"code": code, "rank": 1}, {"code": "BBB", "rank": 2}]}))
+        rows = [{"code": code, "rank": 1}, {"code": "BBB", "rank": 2}]
+        a.write_text(json.dumps({"rows": rows}), encoding="utf-8")
         b = tmp_path / "b.csv"
-        b.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,2\n")
+        b.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,2\n", encoding="utf-8")
         assert main(["compare", str(a), str(b)]) == 1
         message = f"{a}: rows[0]: code is not a string: {shown}"
         assert capsys.readouterr().err == f"error [ingestion] {message}\n"
@@ -521,8 +523,8 @@ class TestCompareCommand:
     def test_domain_mismatch_exits_one(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        a.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,2\n")
-        b.write_text("code,name,value,rank\nAAA,Alpha,0.3,1\nCCC,Gamma,0.7,2\n")
+        a.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,2\n", encoding="utf-8")
+        b.write_text("code,name,value,rank\nAAA,Alpha,0.3,1\nCCC,Gamma,0.7,2\n", encoding="utf-8")
         assert main(["compare", str(a), str(b)]) == 1
         assert "analytics" in capsys.readouterr().err
 
@@ -531,7 +533,7 @@ class TestExportDot:
     def test_two_country_graph(self, tmp_path, us_china_files):
         out = tmp_path / "out"
         assert main(["export-dot", *dataset_args(*us_china_files, out)]) == 0
-        text = (out / "network_trade.dot").read_text()
+        text = (out / "network_trade.dot").read_text(encoding="utf-8")
         assert text.count('";') == 2  # one node line per country
         assert text.count("->") == 2
         assert '"CHN" -> "USA"' in text and '"USA" -> "CHN"' in text
@@ -539,7 +541,7 @@ class TestExportDot:
     def test_threshold_above_max_gives_edgeless_graph(self, tmp_path, us_china_files):
         out = tmp_path / "out"
         main(["export-dot", *dataset_args(*us_china_files, out, "--min-weight", "0.5")])
-        assert "->" not in (out / "network_trade.dot").read_text()
+        assert "->" not in (out / "network_trade.dot").read_text(encoding="utf-8")
 
     def test_operator_options_do_not_run_the_engine(self, tmp_path, us_china_files, capsys):
         # lambda=1e12 needs more squarings than the engine allows, but
@@ -547,7 +549,7 @@ class TestExportDot:
         out = tmp_path / "out"
         argv = dataset_args(*us_china_files, out, "--method", "pwp", "--lambda", "1e12")
         assert main(["export-dot", *argv]) == 0
-        assert "->" in (out / "network_trade.dot").read_text()
+        assert "->" in (out / "network_trade.dot").read_text(encoding="utf-8")
         capsys.readouterr()
         assert main(["matrix", *argv]) == 1
         assert "[engine]" in capsys.readouterr().err
@@ -572,7 +574,7 @@ class TestExportDot:
         ])
         direct = direct_matrix_quietly(triangle_network, WeightKind.TRADE)
         expected = int(((direct.values != 0) & (direct.values >= threshold)).sum())
-        assert (out / "network_trade.dot").read_text().count("->") == expected
+        assert (out / "network_trade.dot").read_text(encoding="utf-8").count("->") == expected
 
 
 class TestContract:
@@ -650,7 +652,7 @@ class TestContract:
     def test_twelve_digit_output_reparses_stably(self, tmp_path, triangle_files):
         out = tmp_path / "out"
         main(["matrix", *dataset_args(*triangle_files, out)])
-        with open(out / "indirect_trade_pwp.csv", newline="") as fh:
+        with open(out / "indirect_trade_pwp.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         for row in rows[1:]:
             for cell in row[1:]:
@@ -668,15 +670,15 @@ class TestContract:
 
     def test_bad_data_exits_one(self, tmp_path, capsys):
         countries = tmp_path / "c.csv"
-        countries.write_text("code,name,gdp,total_exports,total_imports\nAAA,Alpha,-1,0,0\n")
+        countries.write_text("code,name,gdp,total_exports,total_imports\nAAA,Alpha,-1,0,0\n", encoding="utf-8")
         flows = tmp_path / "f.csv"
-        flows.write_text("reporter,partner,exports,imports\n")
+        flows.write_text("reporter,partner,exports,imports\n", encoding="utf-8")
         assert main(["matrix", *dataset_args(countries, flows, tmp_path / "out")]) == 1
         assert "[ingestion]" in capsys.readouterr().err
 
     def test_output_clash_exits_one_with_io_stage(self, tmp_path, us_china_files, capsys):
         blocker = tmp_path / "blocked"
-        blocker.write_text("not a directory")
+        blocker.write_text("not a directory", encoding="utf-8")
         assert main(["matrix", *dataset_args(*us_china_files, blocker)]) == 1
         assert "[io]" in capsys.readouterr().err
 
@@ -704,9 +706,9 @@ class TestContract:
 
     def test_empty_dataset_fails_in_analytics_stage(self, tmp_path, capsys):
         countries = tmp_path / "c.csv"
-        countries.write_text("code,name,gdp,total_exports,total_imports\n")
+        countries.write_text("code,name,gdp,total_exports,total_imports\n", encoding="utf-8")
         flows = tmp_path / "f.csv"
-        flows.write_text("reporter,partner,exports,imports\n")
+        flows.write_text("reporter,partner,exports,imports\n", encoding="utf-8")
         assert main(["rank", *dataset_args(countries, flows, tmp_path / "out")]) == 1
         assert "error [analytics] matrix has no countries" in capsys.readouterr().err
 
@@ -717,13 +719,22 @@ class TestContract:
         env = {**os.environ, "PYTHONPATH": path}
         argv = ["rank", *dataset_args(*us_china_files, tmp_path / "out")]
         proc = subprocess.run(
-            [sys.executable, "-m", "tradenet.cli", *argv], env=env, capture_output=True, text=True
+            [sys.executable, "-m", "tradenet.cli", *argv], env=env, capture_output=True, encoding="utf-8"
         )
         assert proc.returncode == 0, proc.stderr
         lines = [line for line in proc.stderr.splitlines() if "flows of" in line]
         assert len(lines) == 1 and lines[0].startswith("ConsistencyWarning: flows of")
         assert "cli.py" not in proc.stderr
         assert "return fn(" not in proc.stderr
+
+    @pytest.mark.filterwarnings("default::tradenet.errors.ConsistencyWarning")
+    def test_warning_is_one_stderr_line(self, tmp_path, capsys, us_china_files):
+        # in process, main's own display prints it, as the module docstring says
+        assert main(["rank", *dataset_args(*us_china_files, tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ConsistencyWarning: flows of"), captured.err
+        assert captured.out and all(line.startswith("wrote ") for line in captured.out.splitlines())
 
     def test_usage_errors_exit_two(self, us_china_files):
         countries, flows = us_china_files
@@ -840,7 +851,7 @@ class TestNoTraceback:
         with tempfile.TemporaryDirectory() as tmp:
             path, other = Path(tmp) / ranking[0], Path(tmp) / "other.csv"
             path.write_bytes(ranking[1].encode())
-            other.write_text("code,name,value,rank\nA,Alpha,0.7,1\nB,Beta,0.3,2\n")
+            other.write_text("code,name,value,rank\nA,Alpha,0.7,1\nB,Beta,0.3,2\n", encoding="utf-8")
             pair = (path, other) if first else (other, path)
             assert_clean_exit(["compare", *map(str, pair)])
 

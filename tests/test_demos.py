@@ -22,7 +22,7 @@ def test_demo_exits_zero(script, tmp_path):
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     done = subprocess.run(
         [sys.executable, str(script)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, encoding="utf-8", timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout

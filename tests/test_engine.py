@@ -176,10 +176,6 @@ class TestMatrixExponential:
         with pytest.raises(DimensionMismatchError):
             matrix_exponential(np.zeros((2, 3)))
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            matrix_exponential(np.array([[np.nan, 0.0], [0.0, 0.0]]))
-
     def test_overflow_when_scaling_budget_exceeded(self):
         with pytest.raises(OverflowError):
             matrix_exponential(np.full((2, 2), 1e12))
@@ -193,6 +189,28 @@ class TestMatrixExponential:
         rng = np.random.default_rng(13)
         a = rng.uniform(size=(6, 6))
         assert np.array_equal(matrix_exponential(a), matrix_exponential(a))
+
+
+class TestInput:
+    """The input rules every operator shares, checked before any arithmetic."""
+
+    @pytest.mark.parametrize("labelled", [False, True], ids=["array", "labelled"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "operator",
+        [pwp, heat_kernel, matrix_exponential, micmac, column_normalize, pagerank_limit],
+        ids=lambda operator: operator.__name__,
+    )
+    def test_rejects_non_finite_entry_naming_the_first(self, operator, bad, labelled):
+        # the rule reads D itself, before any arithmetic: no operator reports an
+        # overflow or a column sum for it, nor checks lambda * D instead
+        values = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, bad], [bad, 0.5, 0.0]])
+        m = InfluenceMatrix(("AAA", "BBB", "CCC"), values, MatrixKind.direct_trade()) if labelled else values
+        row, column = ("BBB", "CCC") if labelled else (1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^entry at row {row}, column {column} is {bad}, not finite$"):
+                operator(m)
 
 
 def hub_direct(n=64):
@@ -274,6 +292,14 @@ class TestPlan:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="^matrix norm bound inf"):
                 matrix_exponential(d)
+
+    @pytest.mark.parametrize("operator", [pwp, heat_kernel])
+    def test_lambda_times_d_past_the_range_is_refused_by_the_plan(self, operator):
+        # D is finite and lambda * D is not: its norm bound is inf, outside the domain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="^matrix norm bound inf"):
+                operator(np.array([[0.0, 1e300], [0.5, 0.0]]), 1e10)
 
 
 def series(*terms):
@@ -444,6 +470,13 @@ class TestColumnNormalize:
         with pytest.raises(NegativeEntryError):
             column_normalize(np.array([[0.0, -0.1], [0.0, 0.2]]))
 
+    def test_rejects_column_summing_past_the_range(self):
+        # every entry is finite; dividing by the infinite sum would zero the column
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="^column 1 sums past the floating-point range$"):
+                column_normalize(np.array([[0.0, 1e308], [0.0, 1e308]]))
+
     def test_keeps_labels_and_kind(self):
         m = InfluenceMatrix(("AAA", "BBB"), np.array([[0.0, 0.2], [0.4, 0.0]]),
                             MatrixKind.direct_offer())
@@ -504,6 +537,12 @@ class TestPagerank:
     def test_rejects_negative_entry(self):
         with pytest.raises(NegativeEntryError):
             pagerank_limit(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    def test_rejects_column_summing_past_the_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ColumnStochasticityError, match="^column 1 sums to inf, expected 0 or 1$"):
+                pagerank_limit(np.array([[0.0, 1e308], [0.0, 1e308]]))
 
     def test_empty_matrix_gives_empty(self):
         assert pagerank_limit(np.zeros((0, 0))).shape == (0, 0)

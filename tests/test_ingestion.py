@@ -288,7 +288,7 @@ class TestFlowOracle:
             ingestion, "_BLOCK_ROWS", block_rows
         ):
             path = Path(tmp) / "f.csv"
-            path.write_text(FLOWS_HEADER + "".join(",".join(r) + "\n" for r in rows))
+            path.write_text(FLOWS_HEADER + "".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
             if isinstance(expected, list):
                 assert records(load_flows(path)) == expected
             else:
