@@ -86,7 +86,7 @@ def read_matrix_csv(path: Path) -> InfluenceMatrix:
     :func:`~tradenet.ingestion.csv_blocks`, hold a label and then a number per
     column; row ``i``'s label must be column ``i``'s.  A faulty row raises its
     ``path:line:`` error; after the rows, a row count other than the label
-    count raises a ``path:`` error.
+    count, or a cell that is not finite, raises a ``path:`` error.
     """
     header = csv_header(path, ("code",))
     labels = tuple(header[1:])
@@ -102,7 +102,10 @@ def read_matrix_csv(path: Path) -> InfluenceMatrix:
     if len(rows) != len(labels):
         raise MalformedRowError(f"{path}: {len(rows)} row(s) for {len(labels)} column label(s)")
     values = np.array(rows).reshape(len(rows), len(labels))
-    return InfluenceMatrix(labels, values, MatrixKind.indirect("file"))
+    try:
+        return InfluenceMatrix(labels, values, MatrixKind.indirect("file"))
+    except ValueError as exc:  # a nan or an infinity: float reads both
+        raise MalformedRowError(f"{path}: {exc}") from None
 
 
 def _write_ranking(

@@ -19,12 +19,12 @@ Four operators are provided, all reading a matrix ``D`` whose entry
 ``exp(x) - 1`` (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)):
 ``heat_kernel = G + e^-lambda * I`` and ``pwp = G / (1 - e^-lambda)``.
 The squaring count is planned from the norms of the powers of ``|D|``
-(Al-Mohy & Higham 2009, SIAM J. Matrix Anal. Appl. 31(3)), and the Taylor
-polynomial of degree 12 is evaluated in 4 products (Bader, Blanes & Casas
-2019, Mathematics 7(12):1174; Sastre 2018, Linear Algebra Appl. 539).
-Neither operator forms ``e^lambda``, so both are finite for every
-``lambda > 0`` with ``lambda * alpha(D) <= 2**32 * theta_12`` (about
-1.28e9), where ``alpha(D) = min over p = 1..4 of max(d_p, d_{p+1})`` and
+(Al-Mohy & Higham 2009, SIAM J. Matrix Anal. Appl. 31(3)), and an
+approximation of order 15 is evaluated in 4 products (Sastre, Ibanez &
+Defez 2019, Appl. Math. Comput. 340).  Neither operator forms
+``e^lambda``, so both are finite for every ``lambda > 0`` with
+``lambda * alpha(D) <= 2**32 * theta`` (about 2.99e9), where
+``alpha(D) = min over p = 1..4 of max(d_p, d_{p+1})`` and
 ``d_p = max(|| |D|^p ||_1, || |D|^p ||_inf) ** (1/p)``.  ``alpha(D)`` lies
 between the spectral radius of ``D`` and ``max(||D||_1, ||D||_inf)``.  Beyond
 that, ``lambda*D`` past the float range included, the scaling needs more than
@@ -51,7 +51,7 @@ from .errors import (
     DimensionMismatchError,
     NegativeEntryError,
 )
-from .model import InfluenceMatrix, MatrixKind
+from .model import InfluenceMatrix, MatrixKind, check_finite
 
 __all__ = [
     "MethodSpec",
@@ -63,38 +63,44 @@ __all__ = [
     "heat_kernel",
 ]
 
-# The largest double with theta**12 * e**theta / 13! <= 2**-53, so the Taylor
-# polynomial of exp(x) - 1 of degree 12 is exact to unit roundoff, relative to ||x||,
-# wherever the norm bound of x is at most theta
-_THETA_12 = 0.29909978219073363
+# The largest double with |e16| * theta**15 / 16! + theta**16 * e**theta / 17! <= 2**-53,
+# e16 as below, so the order-15 approximation of exp(x) - 1 is exact to unit roundoff,
+# relative to ||x||, wherever the norm bound of x is at most theta
+_THETA = 0.6957295666481742
 _MAX_SQUARINGS = 32  # inputs needing more are refused with OverflowError
 
-# Degree 12 in 4 products (Bader, Blanes & Casas 2019, Mathematics 7(12):1174;
-# Sastre 2018, Linear Algebra Appl. 539:229-250): A6 = B3 + B4 @ B4 and
-# T = B1 + (B5 + A6) @ A6.  B1 and B4 are cubics in A with no constant term, given
-# by their coefficients of A, A^2 and A^3.
-# B3 and B5 are given in the basis (B1, B4, A, I), since A^2 and A^3 are overwritten
-# before they are formed; B3 has no I term.  The coefficients solve
-# T = sum_{j=1..12} A^j / j! in 50-digit arithmetic, on the member of a one-parameter
-# family (A6's coefficient of A^3 is 0.005) whose evaluated form cancels least: with
-# every coefficient replaced by its absolute value, j! times the coefficient of A^j
-# is at most 2.67 (1 would be no cancellation at all).
-_B1 = (-0.5481612286011007, -0.4120038905097229, 0.0018194925272970763)
-_B4 = (0.13181061013830184, 0.02027855540589259, 0.006759518468630863)
-_B3 = (-0.16629098316673224, -0.006404645614961781, 0.09948346868683537)
-_B5 = (0.02376991503285915, 3.5432881550110182, 0.47572356903313884, 8.157080816735766)
+# Order 15 in 4 products, the "15+" scheme of Sastre, Ibanez & Defez (2019, "Boosting
+# the computation of the matrix exponential", Appl. Math. Comput. 340), in the form of
+# exp(x) - 1, so that no factor has an identity term:
+#   A2 = A @ A,  y02 = A2 @ (c1*A2 + c2*A),
+#   y12 = (y02 + c3*A2 + c4*A) @ (y02 + c5*A2) + c6*y02 + c7*A2,
+#   T = (y12 + c8*A2 + c9*A) @ (y12 + c10*y02 + c11*A) + c12*y12 + c13*y02 + c14*A2 + A.
+# The coefficients solve T = sum_{j=1..15} A^j / j! + (1 + e16) * A^16 / 16! in 50-digit
+# arithmetic, e16 = -0.45425649779254129574.  Of the four real solutions with this e16
+# (up to the sign of y02), this one cancels least in the form _taylor evaluates: with
+# every coefficient replaced by its absolute value, j! times the coefficient of A^j is
+# at most 10.9 (1 would be no cancellation at all), against 19.1 for the solution that
+# cancels least in the form above (4.24 there).
+_C15 = (
+    0.00040187616102010357, 0.002945531440279683, -0.008709066576837676, 0.4017568440673568,
+    0.03230762888122312, -0.023373194047115794, 0.2614927977298117, -0.23810703738709874,
+    -0.04130276365929783, 5.792361707073261, 2.2242091724963737, 10.408017352313543,
+    -3.030123400738712, -2.1297555904964356,
+)
 
 
 def _unpack(m) -> tuple[np.ndarray, InfluenceMatrix | None]:
-    """``m``'s values, uncopied and only read (operators allocate their results), and ``m`` if labelled."""
-    source = m if isinstance(m, InfluenceMatrix) else None
-    a = np.asarray(m if source is None else m.values, dtype=float)
+    """``m``'s values, uncopied and only read (operators allocate their results), and ``m`` if labelled.
+
+    A labelled matrix is square and finite by construction; a plain array is checked here.
+    """
+    if isinstance(m, InfluenceMatrix):
+        return m.values, m
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and not (a.min() > -math.inf and a.max() < math.inf):  # no n x n mask; nan fails both
-        i, j = np.argwhere(~np.isfinite(a))[0]
-        raise ValueError(f"entry at row {_name(source, i)}, column {_name(source, j)} is {a[i, j]}, not finite")
-    return a, source
+    check_finite(a)
+    return a, None
 
 
 def _name(source: InfluenceMatrix | None, i) -> str:
@@ -127,15 +133,15 @@ def _check_p(p) -> None:
 
 
 def _plan(a: np.ndarray) -> int:
-    """The squaring count ``k`` for ``exp(a) - I`` by the Taylor polynomial of degree 12.
+    """The squaring count ``k`` for ``exp(a) - I`` by the order-15 approximation ``_C15``.
 
     ``d_p = max(||B^p||_1, ||B^p||_inf) ** (1/p)`` with ``B = |a|``, for
     p = 1..5, from the vectors ``1^T B^p`` and ``B^p 1``: exact norms of
     ``a**p`` for ``a >= 0``, upper bounds otherwise.  For ``j >= p*(p-1)``,
     ``||a**j|| <= max(d_p, d_{p+1})**j`` (Al-Mohy & Higham 2009, SIAM J.
-    Matrix Anal. Appl. 31(3)), so the remainder after degree 12 is bounded
-    with ``alpha``, the least such ``max`` over ``p*(p-1) <= 13``, and ``k``
-    squarings bring ``alpha / 2**k`` to ``_THETA_12``.
+    Matrix Anal. Appl. 31(3)), so the remainder, from degree 16 on, is bounded
+    with ``alpha``, the least such ``max`` over ``p*(p-1) <= 16``, and ``k``
+    squarings bring ``alpha / 2**k`` to ``_THETA``.
     """
     b = np.abs(a)
     left = right = np.ones(len(a))
@@ -147,64 +153,97 @@ def _plan(a: np.ndarray) -> int:
         d = np.array(norms) ** (1.0 / np.arange(1, 6))
     d[np.isnan(d)] = math.inf
     alpha = min(max(d[p - 1], d[p]) for p in range(1, 5))
-    if not alpha <= _THETA_12 * 2.0**_MAX_SQUARINGS:
+    if not alpha <= _THETA * 2.0**_MAX_SQUARINGS:
         raise OverflowError(
             f"matrix norm bound {alpha:g} needs more than {_MAX_SQUARINGS} squarings"
         )
-    return 0 if alpha <= _THETA_12 else math.ceil(math.log2(alpha / _THETA_12))
+    return 0 if alpha <= _THETA else math.ceil(math.log2(alpha / _THETA))
 
 
-def _combine(out: np.ndarray, scale: float, terms, buffer: np.ndarray, identity: float = 0.0) -> None:
-    """``out <- scale * out + sum(c * t for c, t in terms) + identity * I`` in place, a few rows at a time.
+def _combine(buffer: np.ndarray, *outputs, product=None, damping: float = 1.0) -> None:
+    """``out <- sum(c * t for t, c in terms)`` in place, for each ``(out, terms)`` of ``outputs``, a few rows at a time.
 
-    No term shares memory with ``out``.  Each scaled term goes through
-    ``buffer``, so no n x n temporary is made, and the work goes in blocks
-    of at most 2**15 entries, whose operands stay in cache while they are
-    combined.
+    A term's ``t`` is an n x n array, or ``(u, v, f)`` for ``u - f * v``
+    with ``f * v`` rounded as the term ``(v, f)`` rounds it; a coefficient
+    of 1 multiplies nothing.  ``out`` may be its own first term; otherwise
+    the first term's coefficient is not 1, and no term shares memory with
+    ``out``.  Each block of rows is done for every output in turn, so a term
+    may be an array that a later output overwrites.  With ``product = (p, q)``
+    the one output also gets ``p @ q``, and its sum is then multiplied by
+    ``damping`` twice; the blocks are then ``len(buffer)`` rows, for BLAS's
+    sake.  Scaled terms and the product go through ``buffer``, so no n x n
+    temporary is made; without a product the blocks hold at most 2**15
+    entries, whose operands stay in cache while they are combined.
     """
-    rows = max(1, min(len(buffer), 2**15 // len(out)))
-    for start in range(0, len(out), rows):
-        block = out[start : start + rows]
-        spare = buffer[: len(block)]
-        block *= scale
-        for c, term in terms:
-            block += np.multiply(term[start : start + rows], c, out=spare)
-    out.flat[:: len(out) + 1] += identity
+    n = buffer.shape[1]
+    rows = len(buffer) if product else max(1, min(len(buffer), 2**15 // n))
+    for start in range(0, n, rows):
+        s = slice(start, start + rows)
+        spare = buffer[: min(rows, n - start)]
+        if product:
+            np.matmul(product[0][s], product[1], out=spare)
+        for out, terms in outputs:
+            block = out[s]
+            for i, (t, c) in enumerate(terms):
+                part = spare if i else block
+                if t is out:
+                    term = block
+                elif isinstance(t, tuple):
+                    u, v, f = t
+                    term = np.subtract(u[s], np.multiply(v[s], f, out=part), out=part)
+                else:
+                    term = t[s]
+                if c != 1.0:
+                    term = np.multiply(term, c, out=part)
+                if i:
+                    block += term
+                elif product:
+                    block += spare
+            if damping != 1.0:
+                block *= damping
+                block *= damping
 
 
 def _taylor(a: np.ndarray, d: np.ndarray, step: float, h: float) -> np.ndarray:
-    """``h**2 * T``, ``T`` the Taylor polynomial ``sum_{j=1..12} A**j / j!`` of ``exp(A) - 1``.
+    """``h**2 * T``, ``T`` the order-15 approximation ``_C15`` of ``exp(A) - 1``, in 4 products.
 
     ``a`` holds ``A = step * d`` and is overwritten.  ``A`` is read from
-    ``d`` once ``a`` holds something else, ``step`` folded into the
-    coefficient.  Two more n x n arrays are made, and a block of n/8 rows
-    through which every scaled term and the last product pass; that product
-    is added row block by row block into one of the arrays, which is
-    returned.  The identity term multiplies only a factor with no constant
-    term, so ``T`` has none, and an entry that no path reaches is exactly 0
-    in every power of ``A`` and so in ``T``.
+    ``d`` once ``a`` holds something else, as the term ``(d, c * step)``.
+    Two more n x n arrays are made, and a block of n/8 rows through which
+    every scaled term and the two row-blocked products pass; the last one
+    is added into one of the arrays, which is returned.  No factor has an
+    identity term, so an entry that no path reaches is exactly 0 in every
+    power of ``A`` and so in ``T``.
+
+    ``y02`` and ``A2`` are overwritten by the last product's factors
+    ``R2 = y12 + c10*y02 + c11*A`` and ``L2 = y12 + c8*A2 + c9*A``, and are
+    recovered from them in the last combination.  Each recovery subtracts
+    the same rounded ``c * step * d`` that went into its factor, so for a
+    nilpotent ``A`` (``A @ A = 0``) ``T`` is ``A`` exactly.  The damping
+    ``h**2`` multiplies the last sum as two factors ``h``, so neither underflows.
 
     The block is allocated after the first n x n array: before it, it raised
     ``operator-sweep``'s peak RSS by about 3 MB (a split heap hole, most likely).
     """
-    (b1, b2, b3), (c1, c2, c3), (u1, u4, ua), (v1, v4, va, v0) = _B1, _B4, _B3, _B5
-    a2 = a @ a
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14 = _C15
+    x, y = a, a @ a  # A, A2
     buffer = np.empty((-(-len(d) // 8), len(d)))  # n/8 rows
-    a3 = a2 @ a
-    _combine(a, c1, [(c2, a2), (c3, a3)], buffer)  # B4
-    _combine(a2, b2, [(b3, a3), (b1 * step, d)], buffer)  # B1
-    np.matmul(a, a, out=a3)
-    _combine(a3, 1.0, [(u1, a2), (u4, a), (ua * step, d)], buffer)  # A6
-    _combine(a, h * v4, [(h * v1, a2), (h, a3), (h * va * step, d)], buffer, h * v0)  # h * (B5 + A6)
-    rows = len(buffer)
-    for start in range(0, len(a2), rows):  # h**2 * T = h * (h * B1 + h * (B5 + A6) @ A6)
-        block = a2[start : start + rows]
-        spare = buffer[: len(block)]
-        np.matmul(a[start : start + rows], a3, out=spare)
-        block *= h
-        block += spare
-        block *= h
-    return a2
+    _combine(buffer, (x, [(x, c2), (y, c1)]))  # c1*A2 + c2*A
+    z = y @ x  # y02
+    # R1 = y02 + c5*A2 and L1 = y02 + c3*A2 + c4*A, then y12 = L1 @ R1 + c6*y02 + c7*A2
+    _combine(buffer, (x, [(y, c5), (z, 1.0)]), (z, [(z, 1.0), (y, c3), (d, c4 * step)]))
+    _combine(buffer, (z, [(x, c6), (y, c7 - c6 * c5)]), product=(z, x))
+    # R2 = y12 + c10*y02 + c11*A, with y02 = R1 - c5*A2, and L2 = y12 + c8*A2 + c9*A
+    _combine(
+        buffer,
+        (x, [(x, c10), (y, -c10 * c5), (z, 1.0), (d, c11 * step)]),
+        (y, [(y, c8), (z, 1.0), (d, c9 * step)]),
+    )
+    # c13*y02 = k13 * (R2 - c11*A - y12) and c14*A2 = k14 * (L2 - c9*A - y12)
+    k13, k14 = c13 / c10, c14 / c8
+    recovered = [((x, d, c11 * step), k13), ((y, d, c9 * step), k14), (d, step)]
+    _combine(buffer, (z, [(z, c12 - k13 - k14), *recovered]), product=(y, x), damping=h)
+    return z
 
 
 def _damped_expm1(d: np.ndarray, scale: float, s: float) -> np.ndarray:
@@ -212,10 +251,10 @@ def _damped_expm1(d: np.ndarray, scale: float, s: float) -> np.ndarray:
 
     :func:`_plan` picks a squaring count ``k`` for the kernel's one copy,
     ``x = scale*d``, which is then scaled in place by ``2**-k`` to ``A``.
-    :func:`_taylor` evaluates the Taylor polynomial of ``exp(A) - 1`` of
-    degree 12 in 4 products, damped by ``e**-c`` with ``c = s / 2**k``, half
-    in its last combinations and half after the last product, so neither
-    factor underflows for ``c < 1400``.  Each of the ``k`` doublings applies
+    :func:`_taylor` evaluates the order-15 approximation of ``exp(A) - 1``
+    in 4 products, damped by ``e**-c`` with ``c = s / 2**k``, as two factors
+    ``e**(-c/2)`` after its last product, so neither factor underflows for
+    ``c < 1400``.  Each of the ``k`` doublings applies
     ``exp(2x) - 1 = (exp(x) - 1)**2 + 2*(exp(x) - 1)`` with the damping
     folded in, ``G <- G @ G + 2*e**-c * G``, and doubles ``c``.
 
@@ -279,7 +318,7 @@ def pwp(direct, lam: float = 1.0):
 
     Computed as ``e**-lam * (exp(lam*D) - I) / (1 - e**-lam)``, which never
     forms ``e**lam``; defined for finite ``lam > 0`` with
-    ``lam * alpha(D) <= 2**32 * theta_12``, about 1.28e9 (see the module docstring).
+    ``lam * alpha(D) <= 2**32 * theta``, about 2.99e9 (see the module docstring).
     """
     out, source = _kernel(direct, lam)
     out /= -math.expm1(-lam)
@@ -364,7 +403,7 @@ def heat_kernel(direct, lam: float = 1.0):
 
     Computed as ``e**-lam * (exp(lam*D) - I) + e**-lam * I``, with no shift
     of ``D``; defined for finite ``lam > 0`` with
-    ``lam * alpha(D) <= 2**32 * theta_12``, about 1.28e9 (see the module docstring).
+    ``lam * alpha(D) <= 2**32 * theta``, about 2.99e9 (see the module docstring).
     """
     out, source = _kernel(direct, lam)
     out.flat[:: len(out) + 1] += math.exp(-lam)

@@ -75,6 +75,18 @@ def repeated(keys: np.ndarray) -> np.ndarray:
     return mask
 
 
+def check_finite(values: np.ndarray, labels=None) -> None:
+    """Refuse a nan or an infinity in a 2-D array, naming the first by ``labels``, or by index without them.
+
+    While every entry is finite this costs two reductions and makes no
+    n x n mask; a nan fails both.
+    """
+    if values.size and not (values.min() > -math.inf and values.max() < math.inf):
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        row, column = (labels[i], labels[j]) if labels is not None else (i, j)
+        raise ValueError(f"entry at row {row}, column {column} is {values[i, j]}, not finite")
+
+
 def checked_amount(value, subject: str) -> float:
     """``value`` as a float, or the error naming ``subject`` and the value as given.
 
@@ -443,6 +455,7 @@ class InfluenceMatrix:
             )
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("matrix labels must be unique")
+        check_finite(values, self.labels)
         if self.kind.is_direct and values.size and np.any(np.diagonal(values) != 0):
             raise ValueError("direct influence matrices must have a zero diagonal")
         values.setflags(write=False)

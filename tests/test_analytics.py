@@ -98,6 +98,16 @@ class TestPlane:
             plane(InfluenceMatrix((), np.zeros((0, 0)), MatrixKind.direct_trade()))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("analysis", [lambda m: rank(m, "influence"), plane], ids=["rank", "plane"])
+def test_non_finite_entry_never_reaches_analysis(analysis, bad):
+    # rank and plane used to order nan without a word: with nan at [0, 2], AAA's
+    # dependence was nan and ranked 2, and plane put AAA and CCC in sector 3
+    values = np.array([[0.0, 0.5, bad], [0.5, 0.0, 0.2], [0.1, 0.5, 0.0]])
+    with pytest.raises(ValueError, match=rf"^entry at row AAA, column CCC is {bad}, not finite$"):
+        analysis(InfluenceMatrix(("AAA", "BBB", "CCC"), values, MatrixKind.direct_trade()))
+
+
 class TestRank:
     def test_two_countries(self):
         values = np.array([[0.0, 0.3], [0.7, 0.0]])

@@ -213,9 +213,10 @@ class TestWriteMatrixCsv:
             ("code,AAA,BBB\nAAA,0,1\n", "m.csv: 1 row(s) for 2 column label(s)"),
             ("code,AAA,BBB\nAAA,0,1\nBBB,2,0\nCCC,x,0\n", "m.csv:4: could not convert string to float: 'x'"),
             ("code,AAA,BBB\nAAA,0,1\nBBB,2,0\nCCC,1,0\n", "m.csv: 3 row(s) for 2 column label(s)"),
+            ("code,AAA,BBB\nAAA,0,1\nBBB,nan,0\n", "m.csv: entry at row BBB, column AAA is nan, not finite"),
         ],
         ids=["short-row", "not-a-number", "label-twice", "no-code", "rows-reordered", "row-missing",
-             "row-fault-before-count", "row-extra"],
+             "row-fault-before-count", "row-extra", "not-finite"],
     )
     def test_fault_names_the_file_and_line(self, tmp_path, text, message):
         # a short row used to raise numpy's inhomogeneous-shape error, with no

@@ -203,14 +203,16 @@ class TestInput:
     )
     def test_rejects_non_finite_entry_naming_the_first(self, operator, bad, labelled):
         # the rule reads D itself, before any arithmetic: no operator reports an
-        # overflow or a column sum for it, nor checks lambda * D instead
+        # overflow or a column sum for it, nor checks lambda * D instead.  A
+        # labelled matrix refuses the entry when it is made, so no operator sees it
         values = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, bad], [bad, 0.5, 0.0]])
-        m = InfluenceMatrix(("AAA", "BBB", "CCC"), values, MatrixKind.direct_trade()) if labelled else values
         row, column = ("BBB", "CCC") if labelled else (1, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^entry at row {row}, column {column} is {bad}, not finite$"):
-                operator(m)
+                if labelled:
+                    values = InfluenceMatrix(("AAA", "BBB", "CCC"), values, MatrixKind.direct_trade())
+                operator(values)
 
 
 def hub_direct(n=64):
@@ -226,12 +228,20 @@ def hub_direct(n=64):
     return d
 
 
-def theta_bound(theta, m):
-    """``theta**m * e**theta / (m+1)!`` in 50-digit decimal arithmetic."""
+# 16! times the coefficient of A**16 in the order-15 scheme, less 1 (TestScheme checks it)
+E16 = Decimal("-0.45425649779254129574")
+
+
+def theta_bound(theta):
+    """``|e16| * theta**15 / 16! + theta**16 * e**theta / 17!`` in 50-digit decimal arithmetic.
+
+    The scheme's remainder relative to ``||x||`` where the norm bound of ``x``
+    is ``theta``: its own term of degree 16, then Taylor's tail from 17 on.
+    """
     with decimal.localcontext() as context:
         context.prec = 50
         theta = Decimal(theta)
-        return theta**m * theta.exp() / math.factorial(m + 1)
+        return abs(E16) * theta**15 / math.factorial(16) + theta**16 * theta.exp() / math.factorial(17)
 
 
 class TestPlan:
@@ -242,29 +252,29 @@ class TestPlan:
     """
 
     def test_theta_is_the_largest_double_within_its_bound(self):
-        theta = engine._THETA_12
+        theta = engine._THETA
         roundoff = Decimal(2) ** -53
-        assert theta_bound(theta, 12) <= roundoff < theta_bound(math.nextafter(theta, math.inf), 12)
+        assert theta_bound(theta) <= roundoff < theta_bound(math.nextafter(theta, math.inf))
 
     def test_diagonal_plans_from_its_norm(self):
-        # alpha = 3, and 3 / theta_12 = 10.0 needs k = 4
+        # alpha = 3, and 3 / theta = 4.31 needs k = 3
         d = np.diag([0.25, 1.0, 3.0])
-        assert engine._plan(d) == 4
-        assert engine._plan(-d) == 4
+        assert engine._plan(d) == 3
+        assert engine._plan(-d) == 3
 
     def test_hub_plans_from_powers_not_from_its_column_sums(self):
         # ||D||_1 = 31.5 would need 6 squarings on the 1-norm alone; the
-        # powers give alpha_12 = ||D^4||_1 ** (1/4) = 2.12, so k = 3
+        # powers give alpha = ||D^4||_1 ** (1/4) = 2.12, and 2.12 / theta = 3.04, so k = 2
         d = hub_direct()
         assert np.abs(d.sum(axis=1) - 1.0).max() < 1e-15
         assert d.sum(axis=0).max() == 31.5
-        assert engine._plan(d) == 3
+        assert engine._plan(d) == 2
         # alpha takes the larger of the 1- and inf-norms, so the transpose,
         # with ||D^T||_1 = 1, plans alike
-        assert engine._plan(d.T) == 3
+        assert engine._plan(d.T) == 2
 
     def test_nilpotent_chain_needs_no_squaring(self):
-        # D^4 = 0, so alpha = max(d_4, d_5) = 0 and degree 12 is exact
+        # D^4 = 0, so alpha = max(d_4, d_5) = 0 and the order-15 scheme is exact
         d = np.diag([100.0] * 3, k=1)
         assert engine._plan(d) == 0
         expected = np.diag([100.0] * 3, k=1) + np.diag([5e3] * 2, k=2)
@@ -273,17 +283,18 @@ class TestPlan:
 
     def test_squaring_limit_is_planned_from_the_norm_bound(self):
         # d_p = (x**p) ** (1/p) may round an ulp either way, so test a little to each side
-        edge = engine._THETA_12 * 2.0**engine._MAX_SQUARINGS
+        edge = engine._THETA * 2.0**engine._MAX_SQUARINGS
         inside, beyond = edge * (1 - 1e-12), edge * (1 + 1e-12)
         assert engine._plan(np.array([[inside]])) == engine._MAX_SQUARINGS
         assert pwp(np.array([[1.0]]), inside)[0, 0] == pytest.approx(1.0)
-        with pytest.raises(OverflowError, match=r"^matrix norm bound 1\.28462\d*e\+09 needs more than 32 squarings$"):
+        with pytest.raises(OverflowError, match=r"^matrix norm bound 2\.988\d*e\+09 needs more than 32 squarings$"):
             engine._plan(np.array([[beyond]]))
         with pytest.raises(OverflowError, match="norm bound"):
             pwp(np.array([[1.0]]), beyond)
-        # lambda 2e9 lay inside the edge of a degree-30 plan, about 1.5e10
-        with pytest.raises(OverflowError, match=r"^matrix norm bound 2e\+09 needs more than 32 squarings$"):
-            pwp(np.array([[1.0]]), 2e9)
+        # lambda 2e9 lies inside the edge, 4e9 beyond it
+        assert pwp(np.array([[1.0]]), 2e9)[0, 0] == pytest.approx(1.0)
+        with pytest.raises(OverflowError, match=r"^matrix norm bound 4e\+09 needs more than 32 squarings$"):
+            pwp(np.array([[1.0]]), 4e9)
 
     def test_huge_input_is_refused_without_warnings(self):
         # the powers overflow to inf (and inf * 0 to nan) while the plan is made
@@ -317,25 +328,26 @@ def series_product(p, q):
 
 
 class TestScheme:
-    """The stored coefficients of the degree-12 scheme, expanded in 50-digit decimals."""
+    """The stored coefficients of the order-15 scheme, expanded in 50-digit decimals."""
 
     def test_expands_to_the_taylor_polynomial(self):
-        (u1, u4, ua), (v1, v4, va, v0) = engine._B3, engine._B5
-        identity, a = [Decimal(1)], [Decimal(0), Decimal(1)]
+        c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14 = engine._C15
+        a, a2 = [Decimal(0), Decimal(1)], [Decimal(0), Decimal(0), Decimal(1)]
         with decimal.localcontext() as context:
             context.prec = 50
-            b1 = [Decimal(0)] + [Decimal(c) for c in engine._B1]
-            b4 = [Decimal(0)] + [Decimal(c) for c in engine._B4]
-            b3 = series((u1, b1), (u4, b4), (ua, a))
-            a6 = series((1, b3), (1, series_product(b4, b4)))
-            b5 = series((v1, b1), (v4, b4), (va, a), (v0, identity))
-            t = series((1, b1), (1, series_product(series((1, b5), (1, a6)), a6)))
-        # T = sum_{j=1..12} A**j / j!, each coefficient within 4 ulps
-        assert len(t) == 13 and t[0] == 0
-        for j in range(1, 13):
+            y02 = series_product(a2, series((c1, a2), (c2, a)))
+            left1, right1 = series((1, y02), (c3, a2), (c4, a)), series((1, y02), (c5, a2))
+            y12 = series((1, series_product(left1, right1)), (c6, y02), (c7, a2))
+            left2, right2 = series((1, y12), (c8, a2), (c9, a)), series((1, y12), (c10, y02), (c11, a))
+            t = series((1, series_product(left2, right2)), (c12, y12), (c13, y02), (c14, a2), (1, a))
+        # T = sum_{j=1..15} A**j / j!, each coefficient within 4 ulps, and one more term
+        assert len(t) == 17 and t[0] == 0
+        for j in range(1, 16):
             assert abs(t[j] * math.factorial(j) - 1) <= 4 * Decimal(2) ** -53, j
-        # no identity term, so an entry that no path reaches stays exactly 0
-        assert b1[0] == b3[0] == b4[0] == 0
+        # the term of degree 16 is (1 + e16) / 16!, which theta bounds
+        assert abs(t[16] * math.factorial(16) - 1 - E16) <= Decimal("1e-15")
+        # no identity term in any factor, so an entry that no path reaches stays exactly 0
+        assert not any(p[0] for p in (series((c1, a2), (c2, a)), left1, right1, left2, right2))
 
 
 class TestPwp:
@@ -602,8 +614,10 @@ class TestWorkingSet:
         ids=lambda value: getattr(value, "__name__", None),
     )
     def test_peak_memory_in_n_by_n_arrays(self, operator, arrays):
-        # the kernel holds three arrays (powers of its scaled copy, then the
-        # combinations that replace them) and a block of n/8 rows; micmac holds
+        # the kernel holds three arrays (its scaled copy, A2 and y02, then the
+        # combinations that replace them, two of which are multiplied and
+        # added in place row block by row block) and a block of n/8 rows,
+        # through which those two products pass; micmac holds
         # D^2 and D^4; column_normalize holds its result, and pagerank_limit
         # frees I - p*Dbar before it builds its result.  The 0.25 leaves room
         # for that block, vectors and numpy's 64 KiB ufunc buffer.
@@ -715,7 +729,8 @@ class TestDecimalOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(d=ORACLE_MATRIX, lam=ORACLE_LAMBDA)
-    # a hard case from a search over ten seeds: 1.2e-14 for pwp, after 9 squarings
+    # a hard case from a search over ten seeds: 1.2e-14 for pwp after 9 squarings
+    # under the degree-12 plan (4.8e-16 after 8 under the order-15 one)
     @example(d=[[0.0, 1.0], [1.0, 1.0]], lam=math.exp(4.5))
     def test_entrywise_relative_error(self, d, lam):
         self.check(np.array(d), lam)
@@ -738,7 +753,7 @@ class TestDecimalOracle:
         assert engine._plan(720.0 * d) == 0
         assert relative_error(pwp(d, 720.0), taylor_oracle(d, 720.0)[0]) < 1e-13
 
-    @pytest.mark.parametrize("lam, squarings", [(1e-8, 0), (3.0, 3)])
+    @pytest.mark.parametrize("lam, squarings", [(1e-8, 0), (3.0, 2)])
     def test_tiny_and_scaled_norms(self, lam, squarings):
         # country 2 influences no one, so column 2 is exactly 0 off the
         # diagonal, which relative_error requires of the result too; every
@@ -764,24 +779,25 @@ class TestDecimalOracle:
         "path far below the largest entry is 0",
     )
     def test_long_path_entry_at_tiny_lambda(self):
-        # the plan squares nothing, and entry [0, 13] of this 14-country chain
-        # is reached only by the path of 13 steps, one more than the degree,
-        # so it comes out 0 against 2.0e-254
-        d = np.diag([0.5] * 13, k=1)
-        assert relative_error(pwp(d, 1e-20), taylor_oracle(d, 1e-20)[0]) < 1e-12
+        # the plan squares nothing, and entry [0, 17] of this 18-country chain
+        # is reached only by the path of 17 steps, past the scheme's last term
+        # (degree 16), so it comes out 0 against 2.1e-292; entry [0, 16], reached
+        # only by the path of 16 steps, comes out 45% low, (1 + e16) times its value
+        d = np.diag([0.5] * 17, k=1)
+        assert relative_error(pwp(d, 1e-17), taylor_oracle(d, 1e-17)[0]) < 1e-12
 
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
         reason="the plan bounds the truncation relative to the norm, not to each "
-        "entry, so an entry reached only by paths almost as long as the degree, 12, "
+        "entry, so an entry reached only by paths almost as long as the order, 15, "
         "loses the next terms of its own series",
     )
     def test_entry_reached_only_by_long_cycles(self):
         # a chain 0 -> 1 -> ... -> 11 with a cycle 0 <-> 1; the plan squares
         # nothing, and entry [11, 0] is reached only by paths of 11 + 2j steps,
-        # so dropping the paths of 13 steps and more leaves both operators off
-        # by 1.4e-4 there
+        # so dropping the paths of 17 steps and more leaves both operators off
+        # by 1.3e-12 there
         d = np.diag([0.5] * 11, k=-1)
         d[0, 1] = 0.5
         lam = 0.3
