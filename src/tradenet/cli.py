@@ -19,7 +19,9 @@ Exit codes: 0 success, 1 data or validation error (the diagnostic
 ``error [stage] ...`` names the failing stage), 2 usage error, including an
 empty ``--countries`` or ``--flows`` path and a ``--region`` that names no
 country code.  A warning about the data, such as flows that do not sum to the
-declared totals, is one stderr line, ``ConsistencyWarning: <message>``.  All
+declared totals, is one stderr line, ``ConsistencyWarning: <message>``.  Every
+line printed stays one line: a character that ``str.isprintable`` rejects, in
+a code or a path, say, is shown as its ``\\x``, ``\\u`` or ``\\U`` escape.  All
 outputs are deterministic: rerunning a command with identical inputs produces
 byte-identical files.
 """
@@ -67,13 +69,25 @@ def _fmt(value: float) -> str:
     return _NUMBER % value
 
 
+def _one_line(text: str) -> str:
+    """``text`` with every character that ``str.isprintable`` rejects written as its escape."""
+    return "".join(c if c.isprintable() else _escape(ord(c)) for c in text)
+
+
+def _escape(code: int) -> str:
+    """Code point ``code`` as ``\\x0b``, ``\\u2028`` or ``\\U000e0001``, say."""
+    if code < 0x100:
+        return f"\\x{code:02x}"
+    return f"\\u{code:04x}" if code < 0x10000 else f"\\U{code:08x}"
+
+
 # --- file writers ----------------------------------------------------------
 # ingestion decides the format: csv_line formats CSV lines, write_lines writes.
 
 def write_matrix_csv(matrix: InfluenceMatrix, path: Path) -> None:
     """Matrix as CSV: codes on the first row and column, 12 significant digits."""
     numbers = f",{_NUMBER}" * matrix.n + "\n"  # numbers never need quoting
-    rows = zip(matrix.labels, matrix.values.tolist())
+    rows = zip(matrix.labels, map(np.ndarray.tolist, matrix.values))  # one row of floats at a time
     lines = (csv_line((code,), numbers % tuple(row)) for code, row in rows)
     write_lines(path, chain((csv_line(("code", *matrix.labels)),), lines))
 
@@ -290,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _show_warning(message, category, *_) -> None:
-    print(f"{category.__name__}: {message}", file=sys.stderr)
+    print(_one_line(f"{category.__name__}: {message}"), file=sys.stderr)
 
 
 def _write_files(out: Path, writers: Writers) -> None:
@@ -314,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
                     raise ValueError(f"--region names no country code: {args.region!r}")
             manifest = DatasetManifest(args.countries, args.flows, region)
         except ValueError as exc:
-            parser.error(str(exc))
+            parser.error(_one_line(str(exc)))
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
@@ -331,10 +345,10 @@ def main(argv: list[str] | None = None) -> int:
                 _run_stage("io", _write_files, out, writers)
                 lines = [f"wrote {out / name}" for name in writers]
         except StageFailure as failure:
-            print(f"error {failure}", file=sys.stderr)
+            print(_one_line(f"error {failure}"), file=sys.stderr)
             return 1
     for line in lines:
-        print(line)
+        print(_one_line(line))
     return 0
 
 

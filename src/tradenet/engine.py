@@ -160,60 +160,27 @@ def _plan(a: np.ndarray) -> int:
     return 0 if alpha <= _THETA else math.ceil(math.log2(alpha / _THETA))
 
 
-def _combine(buffer: np.ndarray, *outputs, product=None, damping: float = 1.0) -> None:
-    """``out <- sum(c * t for t, c in terms)`` in place, for each ``(out, terms)`` of ``outputs``, a few rows at a time.
-
-    A term's ``t`` is an n x n array, or ``(u, v, f)`` for ``u - f * v``
-    with ``f * v`` rounded as the term ``(v, f)`` rounds it; a coefficient
-    of 1 multiplies nothing.  ``out`` may be its own first term; otherwise
-    the first term's coefficient is not 1, and no term shares memory with
-    ``out``.  Each block of rows is done for every output in turn, so a term
-    may be an array that a later output overwrites.  With ``product = (p, q)``
-    the one output also gets ``p @ q``, and its sum is then multiplied by
-    ``damping`` twice; the blocks are then ``len(buffer)`` rows, for BLAS's
-    sake.  Scaled terms and the product go through ``buffer``, so no n x n
-    temporary is made; without a product the blocks hold at most 2**15
-    entries, whose operands stay in cache while they are combined.
-    """
+def _blocks(buffer: np.ndarray, rows: int) -> list[tuple[slice, np.ndarray]]:
+    """``(s, spare)`` for each block of ``rows`` rows: its slice and the rows of ``buffer`` it may use."""
+    # a list: as a generator, with the same arrays made in the same order, it raised
+    # operator-sweep's peak RSS by 0.9 MB (117.3-117.6 against 116.5, 2-CPU x86-64 host)
     n = buffer.shape[1]
-    rows = len(buffer) if product else max(1, min(len(buffer), 2**15 // n))
-    for start in range(0, n, rows):
-        s = slice(start, start + rows)
-        spare = buffer[: min(rows, n - start)]
-        if product:
-            np.matmul(product[0][s], product[1], out=spare)
-        for out, terms in outputs:
-            block = out[s]
-            for i, (t, c) in enumerate(terms):
-                part = spare if i else block
-                if t is out:
-                    term = block
-                elif isinstance(t, tuple):
-                    u, v, f = t
-                    term = np.subtract(u[s], np.multiply(v[s], f, out=part), out=part)
-                else:
-                    term = t[s]
-                if c != 1.0:
-                    term = np.multiply(term, c, out=part)
-                if i:
-                    block += term
-                elif product:
-                    block += spare
-            if damping != 1.0:
-                block *= damping
-                block *= damping
+    return [(slice(start, start + rows), buffer[: min(rows, n - start)]) for start in range(0, n, rows)]
 
 
 def _taylor(a: np.ndarray, d: np.ndarray, step: float, h: float) -> np.ndarray:
     """``h**2 * T``, ``T`` the order-15 approximation ``_C15`` of ``exp(A) - 1``, in 4 products.
 
     ``a`` holds ``A = step * d`` and is overwritten.  ``A`` is read from
-    ``d`` once ``a`` holds something else, as the term ``(d, c * step)``.
-    Two more n x n arrays are made, and a block of n/8 rows through which
-    every scaled term and the two row-blocked products pass; the last one
-    is added into one of the arrays, which is returned.  No factor has an
-    identity term, so an entry that no path reaches is exactly 0 in every
-    power of ``A`` and so in ``T``.
+    ``d`` once ``a`` holds something else, as ``(c * step) * d``.  Two more
+    n x n arrays are made, and a buffer of n/8 rows through which every
+    scaled term and the two row-blocked products pass, so no n x n
+    temporary is made.  Each combination runs a block of rows at a time:
+    around a product, blocks of n/8 rows, for BLAS's sake, with the product
+    block added into one of the arrays; otherwise blocks of at most 2**15
+    entries, whose operands stay in cache while they are combined.  No
+    factor has an identity term, so an entry that no path reaches is
+    exactly 0 in every power of ``A`` and so in ``T``.
 
     ``y02`` and ``A2`` are overwritten by the last product's factors
     ``R2 = y12 + c10*y02 + c11*A`` and ``L2 = y12 + c8*A2 + c9*A``, and are
@@ -222,27 +189,53 @@ def _taylor(a: np.ndarray, d: np.ndarray, step: float, h: float) -> np.ndarray:
     nilpotent ``A`` (``A @ A = 0``) ``T`` is ``A`` exactly.  The damping
     ``h**2`` multiplies the last sum as two factors ``h``, so neither underflows.
 
-    The block is allocated after the first n x n array: before it, it raised
+    The buffer is allocated after the first n x n array: before it, it raised
     ``operator-sweep``'s peak RSS by about 3 MB (a split heap hole, most likely).
     """
     c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14 = _C15
+    n = len(d)
     x, y = a, a @ a  # A, A2
-    buffer = np.empty((-(-len(d) // 8), len(d)))  # n/8 rows
-    _combine(buffer, (x, [(x, c2), (y, c1)]))  # c1*A2 + c2*A
+    buffer = np.empty((-(-n // 8), n))  # n/8 rows
+    rows = max(1, min(len(buffer), 2**15 // n))  # elementwise blocks of at most 2**15 entries
+    for s, spare in _blocks(buffer, rows):  # x <- c1*A2 + c2*A
+        xs = x[s]
+        xs *= c2
+        xs += np.multiply(y[s], c1, out=spare)
     z = y @ x  # y02
-    # R1 = y02 + c5*A2 and L1 = y02 + c3*A2 + c4*A, then y12 = L1 @ R1 + c6*y02 + c7*A2
-    _combine(buffer, (x, [(y, c5), (z, 1.0)]), (z, [(z, 1.0), (y, c3), (d, c4 * step)]))
-    _combine(buffer, (z, [(x, c6), (y, c7 - c6 * c5)]), product=(z, x))
-    # R2 = y12 + c10*y02 + c11*A, with y02 = R1 - c5*A2, and L2 = y12 + c8*A2 + c9*A
-    _combine(
-        buffer,
-        (x, [(x, c10), (y, -c10 * c5), (z, 1.0), (d, c11 * step)]),
-        (y, [(y, c8), (z, 1.0), (d, c9 * step)]),
-    )
+    for s, spare in _blocks(buffer, rows):  # x <- R1 = y02 + c5*A2, z <- L1 = y02 + c3*A2 + c4*A
+        xs, zs = x[s], z[s]
+        np.multiply(y[s], c5, out=xs)
+        xs += zs
+        zs += np.multiply(y[s], c3, out=spare)
+        zs += np.multiply(d[s], c4 * step, out=spare)
+    for s, spare in _blocks(buffer, len(buffer)):  # z <- y12 = L1 @ R1 + c6*y02 + c7*A2, y02 = R1 - c5*A2
+        np.matmul(z[s], x, out=spare)
+        zs = np.multiply(x[s], c6, out=z[s])
+        zs += spare
+        zs += np.multiply(y[s], c7 - c6 * c5, out=spare)
+    for s, spare in _blocks(buffer, rows):  # x <- R2, y <- L2
+        xs, ys, zs = x[s], y[s], z[s]
+        xs *= c10
+        xs += np.multiply(ys, -c10 * c5, out=spare)
+        xs += zs
+        xs += np.multiply(d[s], c11 * step, out=spare)
+        ys *= c8
+        ys += zs
+        ys += np.multiply(d[s], c9 * step, out=spare)
     # c13*y02 = k13 * (R2 - c11*A - y12) and c14*A2 = k14 * (L2 - c9*A - y12)
     k13, k14 = c13 / c10, c14 / c8
-    recovered = [((x, d, c11 * step), k13), ((y, d, c9 * step), k14), (d, step)]
-    _combine(buffer, (z, [(z, c12 - k13 - k14), *recovered]), product=(y, x), damping=h)
+    for s, spare in _blocks(buffer, len(buffer)):  # z <- h**2 * (L2 @ R2 + c12*y12 + c13*y02 + c14*A2 + A)
+        np.matmul(y[s], x, out=spare)
+        zs = z[s]
+        zs *= c12 - k13 - k14
+        zs += spare
+        np.subtract(x[s], np.multiply(d[s], c11 * step, out=spare), out=spare)
+        zs += np.multiply(spare, k13, out=spare)
+        np.subtract(y[s], np.multiply(d[s], c9 * step, out=spare), out=spare)
+        zs += np.multiply(spare, k14, out=spare)
+        zs += np.multiply(d[s], step, out=spare)
+        zs *= h
+        zs *= h
     return z
 
 
@@ -261,7 +254,7 @@ def _damped_expm1(d: np.ndarray, scale: float, s: float) -> np.ndarray:
     ``d`` is finite; a ``scale*d`` past the float range has the norm bound
     inf, which :func:`_plan` refuses.  The undamped ``exp(scale*d)`` is never
     formed and ``d`` is only read.  Peak memory is three n x n arrays and a
-    block of n/8 rows.
+    buffer of n/8 rows.
     """
     if d.size == 0:
         return np.zeros((0, 0))

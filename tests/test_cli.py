@@ -9,6 +9,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,20 @@ class TestWriteMatrixCsv:
         assert back.labels == labels
         assert np.array_equal(back.values, values)
         assert np.array_equal(np.signbit(back.values), np.signbit(values))
+
+    def test_holds_a_few_rows_at_a_time(self, tmp_path):
+        # a row as Python floats takes 32 bytes a cell (8 for the list, 24 for
+        # the float); the whole 400 x 400 matrix so held took 5.2 MB
+        n = 400
+        values = np.random.default_rng(400).uniform(size=(n, n))
+        matrix = InfluenceMatrix(tuple(f"C{i:03d}" for i in range(n)), values, MatrixKind.indirect("test"))
+        tracemalloc.start()
+        try:
+            write_matrix_csv(matrix, tmp_path / "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * 32
 
     def test_carriage_return_in_label_round_trips(self, tmp_path):
         matrix = InfluenceMatrix(("a\rb", "c"), np.identity(2), MatrixKind.indirect("test"))
@@ -856,6 +871,30 @@ class TestNoTraceback:
             pair = (path, other) if first else (other, path)
             assert_clean_exit(["compare", *map(str, pair)])
 
+    # a code or a path holding a character that str.splitlines breaks on is
+    # printed escaped, so each diagnostic or report line stays one line
+    def test_flows_code_with_a_line_break_gives_one_error_line(self, tmp_path, triangle_files, capsys):
+        countries, flows = triangle_files
+        flows.write_bytes(flows.read_bytes().replace(b"CUB,ESP,", b"CUB,E\x0bSP,"))
+        assert main(["matrix", *dataset_args(countries, flows, tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            r"error [ingestion] flow (CUB, E\x0bSP) references unknown country E\x0bSP"
+        ]
+
+    def test_ranking_code_with_a_line_break_gives_one_compare_line(self, tmp_path, capsys):
+        for name, ranks in (("a", (1, 2)), ("b", (2, 1))):
+            rows = [{"code": code, "rank": rank} for code, rank in zip(("A\nB", "C"), ranks)]
+            (tmp_path / f"{name}.json").write_text(json.dumps({"rows": rows}), encoding="utf-8")
+        assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "distance: 1", r"A\x0aB: 1 -> 2 (+1)", "C: 2 -> 1 (-1)"
+        ]
+
+    def test_output_path_with_a_line_break_gives_one_wrote_line(self, tmp_path, us_china_files, capsys):
+        assert main(["export-dot", *dataset_args(*us_china_files, tmp_path / "a\u2028b")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {tmp_path}" + r"/a\u2028b/network_trade.dot"
+        ]
 
 
 # --- read faults are located ----------------------------------------------------

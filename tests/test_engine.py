@@ -605,6 +605,18 @@ class TestHeatKernel:
 class TestWorkingSet:
     """What each operator allocates, and that it only reads its input."""
 
+    @staticmethod
+    def peak_in_arrays(operator, n: int) -> float:
+        """``operator``'s traced peak on an n x n input, in n x n arrays of doubles."""
+        d = column_normalize(sparse_direct(np.random.default_rng(300), n, "trade"))
+        tracemalloc.start()
+        try:
+            operator(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / d.nbytes
+
     @pytest.mark.parametrize(
         "operator, arrays",
         [
@@ -616,21 +628,20 @@ class TestWorkingSet:
     def test_peak_memory_in_n_by_n_arrays(self, operator, arrays):
         # the kernel holds three arrays (its scaled copy, A2 and y02, then the
         # combinations that replace them, two of which are multiplied and
-        # added in place row block by row block) and a block of n/8 rows,
+        # added in place row block by row block) and a buffer of n/8 rows,
         # through which those two products pass; micmac holds
         # D^2 and D^4; column_normalize holds its result, and pagerank_limit
         # frees I - p*Dbar before it builds its result.  The 0.25 leaves room
-        # for that block, vectors and numpy's 64 KiB ufunc buffer.
+        # for that buffer, vectors and numpy's 64 KiB ufunc buffer.
         # tracemalloc does not see the copy LAPACK makes inside
         # np.linalg.solve, so pagerank_limit's figure leaves that out.
-        d = column_normalize(sparse_direct(np.random.default_rng(300), 300, "trade"))
-        tracemalloc.start()
-        try:
-            operator(d)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= arrays * d.nbytes
+        assert self.peak_in_arrays(operator, 300) <= arrays
+
+    @pytest.mark.parametrize("operator", [pwp, heat_kernel, matrix_exponential], ids=lambda f: f.__name__)
+    def test_kernel_peak_memory_with_blocks_of_both_sizes(self, operator):
+        # at n=601 the kernel's elementwise blocks (54 rows) are smaller than
+        # its product blocks (76 rows), and each size ends on a shorter block
+        assert self.peak_in_arrays(operator, 601) <= 3.25
 
     @pytest.mark.parametrize(
         "operator",
@@ -676,6 +687,12 @@ class TestScipyOracles:
             expected = oracle(d, lam)
             error = np.abs(operator(d, lam) - expected).max() / np.abs(expected).max()
             assert error <= 1e-11, (operator.__name__, error)
+
+    @pytest.mark.parametrize("lam", [1.0, 800.0])
+    def test_blocks_of_both_sizes_match(self, lam):
+        # at n=601 the kernel's elementwise blocks (54 rows) are smaller than
+        # its product blocks (76 rows), and each size ends on a shorter block
+        self.test_pwp_and_heat_kernel_match(601, "trade", lam)
 
     def test_trade_row_sums_stay_one_at_large_lambda(self):
         d = sparse_direct(np.random.default_rng(7), 300, "trade", zero_rows=0.0)
