@@ -1,16 +1,17 @@
 """Immutable data model for countries, bilateral flows, and trade networks.
 
 A trade network is a directed graph whose vertices are countries and whose
-edges carry trade between them.  Countries are kept in alphabetical order by
-display name, which fixes the index map used by every matrix in the package.
-Flows are held as columns in a :class:`FlowTable`; a :class:`BilateralFlow`
-is one row of it as a record.
+edges carry trade between them.  A :class:`TradeNetwork` checks what it is
+made from and keeps its countries in alphabetical order by display name,
+which fixes the index map used by every matrix in the package; its flow rows
+follow that order too.  Flows are held as columns in a :class:`FlowTable`; a
+:class:`BilateralFlow` is one row of it as a record.
 
 Every record check is written once here: a :class:`FlowTable` checks its
 shape when made; over arrays of rows, :func:`repeated` finds duplicate keys,
 :func:`first_fault` picks the first failing row, then its first failing
 check, and :func:`flow_fault` words the error of a table's first faulty row,
-for :func:`build_network` and ingestion alike; ingestion only adds ``path:line:``.
+for :class:`TradeNetwork` and ingestion alike; ingestion only adds ``path:line:``.
 
 All types are frozen after construction and safe to share across threads.
 """
@@ -125,6 +126,7 @@ class CountryRecord:
             object.__setattr__(self, attr, value)
         if not _CODE_RE.fullmatch(self.code):
             raise ValueError(f"country code must be 2-3 uppercase chars, got {self.code!r}")
+        object.__setattr__(self, "name", self.name.strip())  # as a countries file reads it back
         if not self.name:
             raise ValueError(f"country {self.code} has an empty name")
 
@@ -146,7 +148,7 @@ class BilateralFlow:
     ``exports`` and ``imports`` are what the reporter records as its exports
     to and imports from the partner.  Mirror records (the partner's view of
     the same trade) are separate flows and are never reconciled.  A record of
-    no trade either way is valid; :func:`build_network` drops it.
+    no trade either way is valid; :class:`TradeNetwork` drops it.
     """
 
     reporter: str
@@ -281,9 +283,20 @@ def flow_fault(table: FlowTable, lines=None, texts=None) -> tuple[int, Exception
 class TradeNetwork:
     """A fixed set of countries plus their bilateral flow records.
 
-    Build through :func:`build_network`, which validates and orders the
-    inputs; the constructor assumes countries are already sorted by name
-    and that ``flows.codes`` lists their codes in that order.
+    Made from country records and a :class:`FlowTable` or flow records, it checks
+    them and keeps countries sorted by display name and flow rows by reporter,
+    then partner, in that order, so the result is independent of input order.
+    Flow rows recording zero trade both ways are dropped after the checks, here
+    alone: the loaders and :class:`FlowTable` keep them.
+
+    Raises
+    ------
+    DuplicateCountryError
+        If two countries share a code or a name.
+    SelfFlowError, DuplicateFlowError, NegativeAmountError, ValueError, UnknownCountryError
+        For the first faulty flow row.  Every row first gets the checks of
+        :func:`flow_fault`, in order: self-flow, pair already on an earlier
+        row, exports, imports.  Only then is a code that names no country an error.
     """
 
     countries: tuple[CountryRecord, ...]
@@ -291,7 +304,41 @@ class TradeNetwork:
     _index: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {c.code: i for i, c in enumerate(self.countries)})
+        countries = tuple(self.countries)
+        codes = [c.code for c in countries]
+        names = [c.name for c in countries]
+        fault = first_fault(
+            repeated(np.array(codes, dtype=object)), repeated(np.array(names, dtype=object))
+        )
+        if fault is not None:
+            rec = countries[fault[0]]
+            if fault[1] == 0:
+                raise DuplicateCountryError(f"country code {rec.code} appears twice")
+            first = codes[names.index(rec.name)]
+            raise DuplicateCountryError(f"country name {rec.name!r} shared by {first} and {rec.code}")
+
+        flows = self.flows
+        table = flows if isinstance(flows, FlowTable) else FlowTable.from_records(flows)
+        if (fault := flow_fault(table)) is not None:
+            raise fault[1]
+        ordered = tuple(sorted(countries, key=lambda c: c.name))
+        position = {c.code: i for i, c in enumerate(ordered)}
+        lookup = np.array([position.get(code, -1) for code in table.codes], dtype=np.intp)
+        reporter, partner = lookup[table.reporter], lookup[table.partner]
+        unknown = np.flatnonzero((reporter < 0) | (partner < 0))
+        if len(unknown):
+            row = unknown[0]
+            a, b = table.codes[table.reporter[row]], table.codes[table.partner[row]]
+            raise UnknownCountryError(
+                f"flow ({a}, {b}) references unknown country {a if reporter[row] < 0 else b}"
+            )
+
+        rows = np.flatnonzero((table.exports != 0) | (table.imports != 0))
+        order = rows[np.argsort(reporter[rows] * len(ordered) + partner[rows])]
+        columns = (reporter, partner, table.exports, table.imports)
+        object.__setattr__(self, "countries", ordered)
+        object.__setattr__(self, "flows", FlowTable(tuple(position), *(c[order] for c in columns)))
+        object.__setattr__(self, "_index", position)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TradeNetwork):
@@ -320,8 +367,9 @@ class TradeNetwork:
         """The reporter's record of trade with the partner, if any."""
         i, j = self._index.get(reporter, -1), self._index.get(partner, -1)
         # a scan of the index columns; a cached n x n table of rows would hold 8 MB at n=1000
-        rows = self.flows.take((self.flows.reporter == i) & (self.flows.partner == j))
-        return next(iter(rows), None)
+        for row in np.flatnonzero((self.flows.reporter == i) & (self.flows.partner == j)):
+            return BilateralFlow(reporter, partner, self.flows.exports[row], self.flows.imports[row])
+        return None
 
     def reported_trade(self, reporter: str, partner: str) -> float:
         """Exports + imports between the pair, per the reporter's books; 0 if unrecorded."""
@@ -333,57 +381,8 @@ def build_network(
     countries: Iterable[CountryRecord],
     flows: FlowTable | Iterable[BilateralFlow] = (),
 ) -> TradeNetwork:
-    """Validate and assemble a :class:`TradeNetwork`.
-
-    Countries are sorted alphabetically by display name and flows by
-    (reporter, partner) code, so the result is independent of input order.
-    Flow rows recording zero trade both ways are dropped after the checks,
-    here alone: the loaders and :class:`FlowTable` keep them.
-
-    Raises
-    ------
-    DuplicateCountryError
-        If two countries share a code or a name.
-    SelfFlowError, DuplicateFlowError, NegativeAmountError, ValueError, UnknownCountryError
-        For the first faulty flow row.  Every row first gets the checks of
-        :func:`flow_fault`, in order: self-flow, pair already on an earlier
-        row, exports, imports.  Only then is a code that names no country an error.
-    """
-    countries = tuple(countries)
-    codes = [c.code for c in countries]
-    names = [c.name for c in countries]
-    fault = first_fault(
-        repeated(np.array(codes, dtype=object)), repeated(np.array(names, dtype=object))
-    )
-    if fault is not None:
-        rec = countries[fault[0]]
-        if fault[1] == 0:
-            raise DuplicateCountryError(f"country code {rec.code} appears twice")
-        first = codes[names.index(rec.name)]
-        raise DuplicateCountryError(f"country name {rec.name!r} shared by {first} and {rec.code}")
-
-    table = flows if isinstance(flows, FlowTable) else FlowTable.from_records(flows)
-    if (fault := flow_fault(table)) is not None:
-        raise fault[1]
-    ordered = tuple(sorted(countries, key=lambda c: c.name))
-    n = len(ordered)
-    position = {c.code: i for i, c in enumerate(ordered)}
-    lookup = np.array([position.get(code, -1) for code in table.codes], dtype=np.intp)
-    reporter, partner = lookup[table.reporter], lookup[table.partner]
-    unknown = np.flatnonzero((reporter < 0) | (partner < 0))
-    if len(unknown):
-        row = unknown[0]
-        a, b = table.codes[table.reporter[row]], table.codes[table.partner[row]]
-        raise UnknownCountryError(
-            f"flow ({a}, {b}) references unknown country {a if reporter[row] < 0 else b}"
-        )
-
-    code_rank = np.empty(n, dtype=np.intp)
-    code_rank[sorted(range(n), key=lambda i: ordered[i].code)] = np.arange(n)
-    rows = np.flatnonzero((table.exports != 0) | (table.imports != 0))
-    order = rows[np.argsort(code_rank[reporter[rows]] * n + code_rank[partner[rows]])]
-    columns = (reporter, partner, table.exports, table.imports)
-    return TradeNetwork(ordered, FlowTable(tuple(position), *(column[order] for column in columns)))
+    """Check, order and assemble a network: ``TradeNetwork(countries, flows)``, which lists the errors."""
+    return TradeNetwork(countries, flows)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,11 @@ from tradenet import (
     FlowTable,
     InfluenceMatrix,
     MatrixKind,
+    TradeNetwork,
     build_network,
+    load_countries,
     load_flows,
+    save_countries,
     save_flows,
     trade_influence,
 )
@@ -57,6 +60,19 @@ class TestRecords:
     def test_flow_rejects_negative(self):
         with pytest.raises(NegativeAmountError):
             BilateralFlow("AAA", "BBB", -1.0, 2.0)
+
+    @pytest.mark.parametrize("name", [" Alpha", "Alpha\t", "\u3000Alpha "])
+    def test_country_name_is_stored_as_a_file_reads_it_back(self, name, tmp_path):
+        records = [CountryRecord("AAA", name, 1.0, 2.0, 3.0)]
+        assert records[0].name == "Alpha"
+        save_countries(records, tmp_path / "c.csv")
+        assert load_countries(tmp_path / "c.csv") == records
+
+    @pytest.mark.parametrize("name", ["", " ", "\t\u00a0"])
+    def test_country_rejects_blank_name(self, name):
+        # a blank name would be written to a countries file that refuses it
+        with pytest.raises(ValueError, match=r"^country AAA has an empty name$"):
+            CountryRecord("AAA", name, 1.0, 1.0, 1.0)
 
     def test_records_are_immutable(self):
         rec = CountryRecord("AAA", "Alpha", 1.0, 1.0, 1.0)
@@ -181,6 +197,54 @@ class TestBuildNetwork:
         assert trade_influence(net, "AAA", "BBB") == 0.0
         save_flows(net.flows, tmp_path / "f.csv")
         assert load_flows(tmp_path / "f.csv") == FlowTable(("BBB", "AAA"), [0], [1], [3.0], [4.0])
+
+    def test_network_made_directly_is_checked_and_ordered(self):
+        # countries not in name order, and a table whose codes are in neither
+        # name nor code order: BBB's flow to AAA, and CCC's to BBB
+        countries = make_countries()
+        table = FlowTable(("CCC", "BBB", "AAA"), [1, 0], [2, 1], [4.0, 1.0], [6.0, 2.0])
+        net = TradeNetwork([countries[2], countries[0], countries[1]], table)
+        assert net == build_network(countries, table)
+        assert net.codes == ("AAA", "BBB", "CCC")
+        assert list(net.flows) == [
+            BilateralFlow("BBB", "AAA", 4.0, 6.0), BilateralFlow("CCC", "BBB", 1.0, 2.0)
+        ]
+        assert trade_influence(net, "BBB", "AAA") == 10.0 / 70.0
+        assert trade_influence(net, "AAA", "BBB") == 0.0
+        with pytest.raises(DuplicateCountryError, match="AAA"):
+            TradeNetwork(countries + countries[:1], table)
+
+    @given(data=st.data())
+    def test_network_made_directly_from_any_order_equals_build_network(self, data):
+        countries = make_countries() + [CountryRecord("DD", "Delta", 1.0, 1.0, 1.0)]
+        flows = [
+            BilateralFlow("AAA", "BBB", 1.0, 2.0), BilateralFlow("DD", "AAA", 3.0, 0.0),
+            BilateralFlow("CCC", "DD", 0.0, 0.0), BilateralFlow("BBB", "CCC", 5.0, 6.0),
+        ]
+        codes = data.draw(st.permutations([c.code for c in countries]))
+        rows = data.draw(st.permutations(flows))
+        index = {code: i for i, code in enumerate(codes)}
+        table = FlowTable(
+            codes, [index[f.reporter] for f in rows], [index[f.partner] for f in rows],
+            [f.exports for f in rows], [f.imports for f in rows],
+        )
+        net = TradeNetwork(data.draw(st.permutations(countries)), table)
+        assert net == build_network(countries, flows)
+        assert TradeNetwork(net.countries, net.flows) == net
+
+    def test_flow_rows_follow_the_name_order(self):
+        # code order (AAA, BBB, CCC) and name order (BBB, CCC, AAA) differ
+        countries = [
+            CountryRecord("AAA", "Zeta", 1.0, 1.0, 1.0),
+            CountryRecord("BBB", "Alpha", 1.0, 1.0, 1.0),
+            CountryRecord("CCC", "Mu", 1.0, 1.0, 1.0),
+        ]
+        codes = [c.code for c in countries]
+        flows = [BilateralFlow(a, b, 1.0, 1.0) for a in codes for b in codes if a != b]
+        net = build_network(countries, flows)
+        assert net.codes == ("BBB", "CCC", "AAA")
+        keys = net.flows.reporter * net.n + net.flows.partner
+        assert np.all(np.diff(keys) > 0)
 
     def test_order_insensitive(self):
         countries = make_countries()
