@@ -11,7 +11,7 @@ separators).  Every parse error carries the 1-based line number of the
 offending row; when a file has several faults, the first line wins.  A byte
 that is not UTF-8 is a fault of the line that holds it (see :func:`_csv_reader`).
 Both loaders return what their file holds: a flow row recording zero trade
-both ways is kept, and :func:`~tradenet.model.build_network` alone drops it.
+both ways is kept, and :class:`~tradenet.model.TradeNetwork` alone drops it.
 
 The file format is decided here, for every file the package reads or
 writes: :func:`csv_blocks` reads a CSV file (:func:`csv_header` its header
@@ -416,7 +416,7 @@ class DatasetManifest:
 def load_network(manifest: DatasetManifest) -> TradeNetwork:
     """Load, assemble, and optionally regionally restrict a dataset.
 
-    The zero-trade rows :func:`build_network` drops are counted in an INFO log line.
+    The zero-trade rows :class:`TradeNetwork` drops are counted in an INFO log line.
 
     Raises
     ------

@@ -10,8 +10,9 @@ follow that order too.  Flows are held as columns in a :class:`FlowTable`; a
 Every record check is written once here: a :class:`FlowTable` checks its
 shape when made; over arrays of rows, :func:`repeated` finds duplicate keys,
 :func:`first_fault` picks the first failing row, then its first failing
-check, and :func:`flow_fault` words the error of a table's first faulty row,
-for :class:`TradeNetwork` and ingestion alike; ingestion only adds ``path:line:``.
+check, for the country, flow and unknown-code checks of :class:`TradeNetwork`,
+and :func:`flow_fault` words the error of a table's first faulty row, for
+:class:`TradeNetwork` and ingestion alike; ingestion only adds ``path:line:``.
 
 All types are frozen after construction and safe to share across threads.
 """
@@ -59,11 +60,8 @@ def first_fault(*masks: np.ndarray) -> tuple[int, int] | None:
     Each mask flags the rows failing one check.  Rows are scanned in order
     and, within a row, the masks in argument order.
     """
-    if not len(masks[0]):
-        return None
-    flat = np.column_stack(masks).ravel()
-    first = int(flat.argmax())
-    return divmod(first, len(masks)) if flat[first] else None
+    found = ((int(mask.argmax()), check) for check, mask in enumerate(masks) if mask.any())
+    return min(found, default=None)
 
 
 def repeated(keys: np.ndarray) -> np.ndarray:
@@ -325,13 +323,10 @@ class TradeNetwork:
         position = {c.code: i for i, c in enumerate(ordered)}
         lookup = np.array([position.get(code, -1) for code in table.codes], dtype=np.intp)
         reporter, partner = lookup[table.reporter], lookup[table.partner]
-        unknown = np.flatnonzero((reporter < 0) | (partner < 0))
-        if len(unknown):
-            row = unknown[0]
+        if (fault := first_fault(reporter < 0, partner < 0)) is not None:
+            row, check = fault
             a, b = table.codes[table.reporter[row]], table.codes[table.partner[row]]
-            raise UnknownCountryError(
-                f"flow ({a}, {b}) references unknown country {a if reporter[row] < 0 else b}"
-            )
+            raise UnknownCountryError(f"flow ({a}, {b}) references unknown country {(a, b)[check]}")
 
         rows = np.flatnonzero((table.exports != 0) | (table.imports != 0))
         order = rows[np.argsort(reporter[rows] * len(ordered) + partner[rows])]

@@ -143,10 +143,12 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
         their count and the first of them.
     """
     flows = network.flows
+    denoms = np.array([_denominator(rec, kind) for rec in network.countries], dtype=float)
+    divisors = denoms[flows.reporter]
     with np.errstate(over="ignore"):  # an infinite share is refused below
         totals = flows.totals
+        shares = np.divide(totals, divisors, out=np.zeros(len(flows)), where=divisors > 0)
     reported = np.bincount(flows.reporter, weights=totals, minlength=network.n)
-    denoms = np.array([_denominator(rec, kind) for rec in network.countries], dtype=float)
 
     undivided = np.flatnonzero((denoms == 0) & (reported > 0))
     if len(undivided):
@@ -156,17 +158,13 @@ def build_direct_matrix(network: TradeNetwork, kind: WeightKind) -> InfluenceMat
         _warn(len(undivided), "have no declared trade totals to divide by "
               f"(rows left at zero, ratio undefined); first: {first}")
 
-    values = np.zeros((network.n, network.n))
-    rows = denoms[flows.reporter] > 0
-    reporter, partner = flows.reporter[rows], flows.partner[rows]
-    with np.errstate(over="ignore"):
-        shares = totals[rows] / denoms[reporter]
     infinite = np.flatnonzero(shares == np.inf)
     if len(infinite):
         i = infinite[0]
-        a, b = network.codes[reporter[i]], network.codes[partner[i]]
-        raise _overflow(a, b, totals[rows][i], denoms[reporter[i]], kind)
-    values[reporter, partner] = shares
+        a, b = network.codes[flows.reporter[i]], network.codes[flows.partner[i]]
+        raise _overflow(a, b, totals[i], divisors[i], kind)
+    values = np.zeros((network.n, network.n))
+    values[flows.reporter, flows.partner] = shares
 
     if kind is WeightKind.TRADE:
         mismatched = np.flatnonzero((denoms > 0) & not_close(reported, denoms))

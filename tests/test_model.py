@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tradenet import (
@@ -17,7 +19,7 @@ from tradenet import (
     save_flows,
     trade_influence,
 )
-from tradenet.model import flow_fault
+from tradenet.model import first_fault, flow_fault
 from tradenet.errors import (
     DuplicateCountryError,
     DuplicateFlowError,
@@ -101,6 +103,19 @@ class TestFlowTable:
         assert FlowTable.from_records(list(table)) == table
 
 
+@given(st.integers(0, 40).flatmap(lambda length: st.lists(
+    st.lists(st.booleans(), min_size=length, max_size=length), min_size=1, max_size=4
+)))
+@example([[]])  # an empty table
+@example([[False] * 3, [False] * 3])  # no fault
+def test_first_fault_is_the_first_true_of_the_interleaved_masks(columns):
+    # the oracle interleaves the masks row by row, as the rule reads them
+    masks = [np.array(column, dtype=bool) for column in columns]
+    flat = np.column_stack(masks).ravel()
+    expected = divmod(int(flat.argmax()), len(masks)) if flat.any() else None
+    assert first_fault(*masks) == expected
+
+
 class TestBuildNetwork:
     def test_minimal_two_country_network(self):
         countries = make_countries()[:2]
@@ -123,9 +138,23 @@ class TestBuildNetwork:
         with pytest.raises(DuplicateCountryError, match="country name 'Beta' shared by BBB and DDD"):
             build_network(make_countries() + [dup], [])
 
-    def test_unknown_flow_code_rejected(self):
-        with pytest.raises(UnknownCountryError, match="ZZZ"):
-            build_network(make_countries(), [BilateralFlow("AAA", "ZZZ", 1.0, 1.0)])
+    @pytest.mark.parametrize(
+        ("codes", "reporter", "partner", "message"),
+        [
+            (("XXX", "AAA"), [0], [1], "flow (XXX, AAA) references unknown country XXX"),
+            (("AAA", "YYY"), [0], [1], "flow (AAA, YYY) references unknown country YYY"),
+            (("XXX", "YYY"), [0], [1], "flow (XXX, YYY) references unknown country XXX"),
+            # the second row's unknown is its partner, the third's its reporter
+            (("AAA", "BBB", "XXX", "YYY"), [0, 0, 2], [1, 3, 0],
+             "flow (AAA, YYY) references unknown country YYY"),
+        ],
+        ids=["reporter", "partner", "both", "two-rows"],
+    )
+    def test_unknown_flow_code_rejected(self, codes, reporter, partner, message):
+        amounts = np.ones(len(reporter))
+        table = FlowTable(codes, reporter, partner, amounts, amounts)
+        with pytest.raises(UnknownCountryError, match=f"^{re.escape(message)}$"):
+            TradeNetwork(make_countries(), table)
 
     def test_duplicate_flow_rejected(self):
         flows = [BilateralFlow("AAA", "BBB", 1.0, 1.0), BilateralFlow("AAA", "BBB", 2.0, 2.0)]

@@ -1,9 +1,14 @@
-"""The package namespace: every module's public names, each listed once."""
+"""The package namespace: every module's public names, each listed once; and README's quick start."""
+
+import re
+from pathlib import Path
 
 import pytest
 
 import tradenet
 from tradenet import analytics, engine, ingestion, model, weights
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # the names tradenet exported before they were derived from the modules
 EXPORTED = {
@@ -33,3 +38,18 @@ def test_earlier_exports_remain():
     namespace: dict = {}
     exec("from tradenet import *", namespace)
     assert EXPORTED <= set(namespace)
+
+
+def test_readme_quick_start_gives_the_values_it_states():
+    # the one python block runs as written; a line ending in "# <number>"
+    # states its value to 3 significant figures
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(blocks[0], namespace)
+    stated = re.findall(r"^(\S.*?)\s+# ([0-9.]+) ", blocks[0], re.M)
+    assert [call for call, _ in stated] == [
+        'tn.trade_influence(net, "USA", "CHN")', 'tn.offer_influence(net, "CHN", "USA")'
+    ]
+    for call, value in stated:
+        assert f"{eval(call, namespace):.3g}" == value

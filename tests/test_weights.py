@@ -163,6 +163,32 @@ class TestBuildDirectMatrix:
             assert influence(net, "BBB", "AAA") == 0.5
 
     @pytest.mark.parametrize(
+        ("kind", "denominator", "warnings_"),
+        [(WeightKind.TRADE, "total trade", 1), (WeightKind.OFFER, r"GDP \+ imports", 0)],
+        ids=["trade", "offer"],
+    )
+    def test_overflow_names_its_pair_past_a_row_left_at_zero(self, kind, denominator, warnings_):
+        # AAA declares no trade but has a flow, which comes first in row order and
+        # is not divided; BBB's totals and GDP are subnormal, so 10 / 1e-310 overflows
+        countries = [
+            CountryRecord("AAA", "Alpha", 100.0, 0.0, 0.0),
+            CountryRecord("BBB", "Beta", 1e-310, 1e-310, 0.0),
+            CountryRecord("CCC", "Gamma", 100.0, 10.0, 10.0),
+        ]
+        net = build_network(countries, [BilateralFlow("AAA", "CCC", 1.0, 1.0),
+                                        BilateralFlow("BBB", "CCC", 5.0, 5.0)])
+        message = (rf"^BBB's flows with CCC \(10\) over its {denominator} \(1e-310\) "
+                   "leave the floating-point range$")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OverflowError, match=message):
+                build_direct_matrix(net, kind)
+        assert [str(w.message) for w in caught] == warnings_ * [
+            "flows of 1 country have no declared trade totals to divide by "
+            "(rows left at zero, ratio undefined); first: AAA"
+        ]
+
+    @pytest.mark.parametrize(
         ("kind", "gdp", "exports", "denominator"),
         [(WeightKind.TRADE, 1.0, 1e308, "total trade"), (WeightKind.OFFER, 1e308, 1.0, r"GDP \+ imports")],
         ids=["trade", "offer"],
@@ -284,6 +310,33 @@ class TestBuildDirectMatrix:
         offer = build_direct_matrix(net, WeightKind.OFFER)
         assert (offer.values <= trade.values + 1e-18).all()
         assert (offer.values >= 0).all()
+
+
+class TestWorkingSet:
+    """What :func:`build_direct_matrix` allocates besides its matrix."""
+
+    @pytest.mark.parametrize("kind", list(WeightKind), ids=lambda kind: kind.value)
+    def test_peak_memory_is_two_matrices_and_few_columns(self, kind):
+        # every ordered pair of 300 countries, each row summing to its declared
+        # totals; the matrix is made, then copied by InfluenceMatrix, and the
+        # columns are the rows' totals, divisors and shares.  The 0.5 leaves room
+        # for the boolean masks and the per-country arrays.
+        n = 300
+        codes = [code for code, _ in generated_pairs(n)]
+        countries = [CountryRecord(code, code, 1e3, n - 1.0, n - 1.0) for code in codes]
+        reporter, partner = np.divmod(np.arange(n * n), n)
+        rows = reporter != partner
+        ones = np.ones(rows.sum())
+        table = FlowTable(tuple(codes), reporter[rows], partner[rows], ones, ones)
+        net = build_network(countries, table)
+        tracemalloc.start()
+        try:
+            build_direct_matrix(net, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix, column = n * n * 8, len(net.flows) * 8
+        assert (peak - 2 * matrix) / column <= 3.5
 
 
 @settings(max_examples=50, deadline=None)
