@@ -211,9 +211,7 @@ def ranking_distance(r: dict[str, int], l: dict[str, int]) -> float:
         raise ValueError("ranking distance needs at least two countries")
     expected = set(range(1, n + 1))
     for name, ranking in (("first", r), ("second", l)):
-        if {int(v) for v in ranking.values()} != expected or any(
-            int(v) != v for v in ranking.values()
-        ):
+        if set(ranking.values()) != expected:
             raise NotAPermutationError(f"{name} ranking is not a permutation of 1..{n}")
     total = sum((r[code] - l[code]) ** 2 for code in r)
     return math.sqrt(total) / ((n - 1) * math.sqrt(n))

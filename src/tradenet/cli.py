@@ -54,17 +54,6 @@ Writers = dict[str, Callable[[Path], None]]
 _NUMBER = "%.12g"
 
 
-class StageFailure(Exception):
-    """A pipeline stage failed; the message is ``[stage] cause``."""
-
-
-def _run_stage(stage: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except (TradeNetError, OSError, ValueError, OverflowError) as exc:
-        raise StageFailure(f"[{stage}] {exc}") from exc
-
-
 def _fmt(value: float) -> str:
     return _NUMBER % value
 
@@ -95,14 +84,17 @@ def write_matrix_csv(matrix: InfluenceMatrix, path: Path) -> None:
 def read_matrix_csv(path: Path) -> InfluenceMatrix:
     """Read a matrix written by :func:`write_matrix_csv`, as every CSV file is read.
 
-    The header is checked by :func:`~tradenet.ingestion.csv_header`: it
-    names ``code``, then the column labels, each once.  The rows, read by
-    :func:`~tradenet.ingestion.csv_blocks`, hold a label and then a number per
-    column; row ``i``'s label must be column ``i``'s.  A faulty row raises its
-    ``path:line:`` error; after the rows, a row count other than the label
-    count, or a cell that is not finite, raises a ``path:`` error.
+    The header, read by :func:`~tradenet.ingestion.csv_header`, names
+    ``code`` first, then the column labels, each once; any other raises a
+    ``path:`` error.  The rows, read by :func:`~tradenet.ingestion.csv_blocks`,
+    hold a label and then a number per column; row ``i``'s label must be
+    column ``i``'s.  A faulty row raises its ``path:line:`` error; after the
+    rows, a row count other than the label count, or a cell that is not
+    finite, raises a ``path:`` error.
     """
     header = csv_header(path, ("code",))
+    if header[0] != "code":
+        raise MalformedRowError(f"{path}: first column {header[0]!r}, expected 'code'")
     labels = tuple(header[1:])
     rows: list[list[float]] = []
     for lines, (codes, *columns) in csv_blocks(path, tuple(header)):
@@ -243,14 +235,12 @@ def _export_dot(args, network, direct, indirect) -> Writers:
 COMMANDS = {"matrix": _matrix, "rank": _rank, "plane": _plane, "export-dot": _export_dot}
 
 
-def _compare(ranking_a: Path, ranking_b: Path) -> list[str]:
+def _compare(first: dict[str, int], second: dict[str, int]) -> list[str]:
     """Distance between two complete rankings, then each country's rank change.
 
     Countries are listed by largest change first, ties by code.
     """
-    first = _run_stage("ingestion", _read_ranking, ranking_a)
-    second = _run_stage("ingestion", _read_ranking, ranking_b)
-    distance = _run_stage("analytics", analytics.ranking_distance, first, second)
+    distance = analytics.ranking_distance(first, second)
     codes = sorted(first, key=lambda code: (-abs(second[code] - first[code]), code))
     return [f"distance: {_fmt(distance)}"] + [
         f"{code}: {first[code]} -> {second[code]} ({second[code] - first[code]:+d})"
@@ -307,12 +297,6 @@ def _show_warning(message, category, *_) -> None:
     print(_one_line(f"{category.__name__}: {message}"), file=sys.stderr)
 
 
-def _write_files(out: Path, writers: Writers) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    for name, write in writers.items():
-        write(out / name)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -331,21 +315,27 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(_one_line(str(exc)))
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
+        stage = "ingestion"
         try:
             if args.command == "compare":
-                lines = _compare(Path(args.ranking_a), Path(args.ranking_b))
+                first, second = _read_ranking(Path(args.ranking_a)), _read_ranking(Path(args.ranking_b))
+                stage = "analytics"
+                lines = _compare(first, second)
             else:
-                network = _run_stage("ingestion", load_network, manifest)
-                direct = _run_stage("weights", build_direct_matrix, network, WeightKind(args.weight))
-                run_engine = args.command != "export-dot"
-                indirect = _run_stage("engine", method.apply, direct) if run_engine else None
-                command = COMMANDS[args.command]
-                writers = _run_stage("analytics", command, args, network, direct, indirect)
-                out = Path(args.out)
-                _run_stage("io", _write_files, out, writers)
+                network = load_network(manifest)
+                stage = "weights"
+                direct = build_direct_matrix(network, WeightKind(args.weight))
+                stage = "engine"
+                indirect = None if args.command == "export-dot" else method.apply(direct)
+                stage = "analytics"
+                writers = COMMANDS[args.command](args, network, direct, indirect)
+                stage, out = "io", Path(args.out)
+                out.mkdir(parents=True, exist_ok=True)
+                for name, write in writers.items():
+                    write(out / name)
                 lines = [f"wrote {out / name}" for name in writers]
-        except StageFailure as failure:
-            print(_one_line(f"error {failure}"), file=sys.stderr)
+        except (TradeNetError, OSError, ValueError, OverflowError) as exc:
+            print(_one_line(f"error [{stage}] {exc}"), file=sys.stderr)
             return 1
     for line in lines:
         print(_one_line(line))

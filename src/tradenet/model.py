@@ -11,8 +11,9 @@ Every record check is written once here: a :class:`FlowTable` checks its
 shape when made; over arrays of rows, :func:`repeated` finds duplicate keys,
 :func:`first_fault` picks the first failing row, then its first failing
 check, for the country, flow and unknown-code checks of :class:`TradeNetwork`,
-and :func:`flow_fault` words the error of a table's first faulty row, for
-:class:`TradeNetwork` and ingestion alike; ingestion only adds ``path:line:``.
+and :func:`flow_fault` finds a table's first faulty row, for :class:`TradeNetwork`
+and ingestion alike, and words a duplicate pair; the row as a :class:`BilateralFlow`
+words any other fault, and ingestion only adds ``path:line:``.
 
 All types are frozen after construction and safe to share across threads.
 """
@@ -50,8 +51,11 @@ CLOSE_RTOL = 1e-9  # loose enough to ignore float rounding, tight enough to flag
 
 
 def not_close(a, b) -> np.ndarray:
-    """``not math.isclose(a, b, rel_tol=CLOSE_RTOL)``, elementwise over arrays."""
-    return np.abs(a - b) > CLOSE_RTOL * np.maximum(np.abs(a), np.abs(b))
+    """``not math.isclose(a, b, rel_tol=CLOSE_RTOL)``, elementwise over arrays, ±inf and nan included."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 - -1e308
+        gap = np.abs(a - b)
+    within = (gap < math.inf) & (gap <= CLOSE_RTOL * np.maximum(np.abs(a), np.abs(b)))
+    return (a != b) & ~within
 
 
 def first_fault(*masks: np.ndarray) -> tuple[int, int] | None:
@@ -247,10 +251,11 @@ def flow_fault(table: FlowTable, lines=None, texts=None) -> tuple[int, Exception
     """The first faulty row of ``table`` and its error, or ``None``.
 
     A row's checks run in this order: self-flow, pair already on an earlier
-    row, exports, imports.  Ingestion passes what the file knows: each row's
-    line number (``lines``), named for a duplicate's first row, and the
-    stripped text of each amount cell that did not parse (``texts``, by
-    ``(row, column)``; NaN in the table), quoted in its error.
+    row, exports, imports; any fault but a duplicate pair is what the row
+    raises as a :class:`BilateralFlow`.  Ingestion passes what the file
+    knows: each row's line number (``lines``), named for a duplicate's first
+    row, and the stripped text of each amount cell that did not parse
+    (``texts``, by ``(row, column)``; NaN in the table), quoted in its error.
     """
     keys = table.reporter * len(table.codes) + table.partner
     fault = first_fault(
@@ -262,18 +267,15 @@ def flow_fault(table: FlowTable, lines=None, texts=None) -> tuple[int, Exception
     if fault is None:
         return None
     row, check = fault
-    pair = f"({table.codes[table.reporter[row]]}, {table.codes[table.partner[row]]})"
-    if check == 0:
-        return row, SelfFlowError(f"flow {pair} is a self-flow")
+    reporter, partner = table.codes[table.reporter[row]], table.codes[table.partner[row]]
     if check == 1:
         first = int(np.argmax(keys == keys[row]))  # the pair's first row
         seen = "" if lines is None else f" already defined on line {lines[first]}"
-        return row, DuplicateFlowError(f"duplicate flow record for pair {pair}{seen}")
-    column = ("exports", "imports")[check - 2]
-    amount = (texts or {}).get((row, column), float(getattr(table, column)[row]))
+        return row, DuplicateFlowError(f"duplicate flow record for pair ({reporter}, {partner}){seen}")
+    amounts = [(texts or {}).get((row, c), float(getattr(table, c)[row])) for c in ("exports", "imports")]
     try:
-        checked_amount(amount, f"{column} of flow {pair}")
-    except (NegativeAmountError, ValueError) as exc:
+        BilateralFlow(reporter, partner, *amounts)
+    except (SelfFlowError, NegativeAmountError, ValueError) as exc:
         return row, exc
 
 

@@ -292,6 +292,9 @@ class TestRankingDistance:
             ranking_distance({"AAA": 1, "BBB": 1}, {"AAA": 1, "BBB": 2})
         with pytest.raises(NotAPermutationError):
             ranking_distance({"AAA": 0, "BBB": 1}, {"AAA": 1, "BBB": 2})
+        for rank in (math.nan, math.inf):  # int() used to raise ValueError and OverflowError
+            with pytest.raises(NotAPermutationError, match="^second ranking"):
+                ranking_distance({"AAA": 1, "BBB": 2}, {"AAA": 1, "BBB": rank})
 
     def test_needs_two_countries(self):
         with pytest.raises(ValueError):

@@ -229,9 +229,11 @@ class TestWriteMatrixCsv:
             ("code,AAA,BBB\nAAA,0,1\nBBB,2,0\nCCC,x,0\n", "m.csv:4: could not convert string to float: 'x'"),
             ("code,AAA,BBB\nAAA,0,1\nBBB,2,0\nCCC,1,0\n", "m.csv: 3 row(s) for 2 column label(s)"),
             ("code,AAA,BBB\nAAA,0,1\nBBB,nan,0\n", "m.csv: entry at row BBB, column AAA is nan, not finite"),
+            # read as a 1x1 matrix labelled 'code' when any header cell could be 'code'
+            ("AAA,code\ncode,0\n", "m.csv: first column 'AAA', expected 'code'"),
         ],
         ids=["short-row", "not-a-number", "label-twice", "no-code", "rows-reordered", "row-missing",
-             "row-fault-before-count", "row-extra", "not-finite"],
+             "row-fault-before-count", "row-extra", "not-finite", "code-not-first"],
     )
     def test_fault_names_the_file_and_line(self, tmp_path, text, message):
         # a short row used to raise numpy's inhomogeneous-shape error, with no
@@ -504,15 +506,18 @@ class TestCompareCommand:
         assert main(["compare", str(tmp_path / name), str(tmp_path / name)]) == 1
         assert capsys.readouterr().err == f"error [ingestion] {tmp_path / message}\n"
 
+    @pytest.mark.parametrize("faulty", [0, 1], ids=["first-file", "second-file"])
     @pytest.mark.parametrize(("rank", "shown"), [(2.7, "2.7"), (True, "True"), ("1", "'1'")])
-    def test_json_rank_must_be_an_integer(self, tmp_path, capsys, rank, shown):
+    def test_json_rank_must_be_an_integer(self, tmp_path, capsys, rank, shown, faulty):
         # int() used to truncate 2.7 to 2 and read true as 1
         a = tmp_path / "r.json"
         rows = [{"code": "AAA", "rank": rank}, {"code": "BBB", "rank": 2}]
         a.write_text(json.dumps({"rows": rows}), encoding="utf-8")
         b = tmp_path / "b.csv"
         b.write_text("code,name,value,rank\nAAA,Alpha,0.7,1\nBBB,Beta,0.3,2\n", encoding="utf-8")
-        assert main(["compare", str(a), str(b)]) == 1
+        files = [b, b]
+        files[faulty] = a
+        assert main(["compare", *map(str, files)]) == 1
         message = f"{a}: rows[0]: rank is not an integer: {shown}"
         assert capsys.readouterr().err == f"error [ingestion] {message}\n"
 

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -19,7 +20,7 @@ from tradenet import (
     save_flows,
     trade_influence,
 )
-from tradenet.model import first_fault, flow_fault
+from tradenet.model import CLOSE_RTOL, first_fault, flow_fault, not_close
 from tradenet.errors import (
     DuplicateCountryError,
     DuplicateFlowError,
@@ -114,6 +115,17 @@ def test_first_fault_is_the_first_true_of_the_interleaved_masks(columns):
     flat = np.column_stack(masks).ravel()
     expected = divmod(int(flat.argmax()), len(masks)) if flat.any() else None
     assert first_fault(*masks) == expected
+
+
+@given(st.floats(), st.floats())
+@example(math.inf, 1.0)  # inf is not close to a finite value
+@example(math.inf, math.inf)  # but equal values are close
+@example(1e308, -1e308)  # two finite values whose difference overflows
+@example(math.nan, math.nan)
+def test_not_close_is_not_isclose(a, b):
+    expected = not math.isclose(a, b, rel_tol=CLOSE_RTOL)
+    assert not_close(np.array([a, b]), np.array([b, a])).tolist() == [expected, expected]
+    assert not_close(np.array([a]), b).tolist() == [expected]
 
 
 class TestBuildNetwork:

@@ -255,6 +255,24 @@ class TestBuildDirectMatrix:
             warnings.simplefilter("error", ConsistencyWarning)
             build_direct_matrix(net, WeightKind.TRADE)
 
+    def test_flows_summing_past_the_float_range_are_counted_at_inf(self):
+        # AAA's flows sum to inf over its declared 1e308, so its row sums to 2; the
+        # closeness rule used to call inf close to any finite total, and stayed silent
+        countries = [
+            CountryRecord("AAA", "Alpha", 1.0, 1e308, 0.0),
+            CountryRecord("BBB", "Beta", 1.0, 0.0, 0.0),
+            CountryRecord("CCC", "Gamma", 1.0, 0.0, 0.0),
+        ]
+        net = build_network(countries, [BilateralFlow("AAA", "BBB", 1e308, 0.0),
+                                        BilateralFlow("AAA", "CCC", 1e308, 0.0)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m = build_direct_matrix(net, WeightKind.TRADE)
+        assert [str(w.message) for w in caught] == [
+            "flows of 1 country do not sum to their declared totals; furthest: AAA at inf"
+        ]
+        assert m.values.sum(axis=1).tolist() == [2.0, 0.0, 0.0]
+
     def test_isolated_country_gets_zero_row(self):
         a = CountryRecord("AAA", "Alpha", 100.0, 0.0, 0.0)
         b = CountryRecord("BBB", "Beta", 100.0, 5.0, 5.0)
